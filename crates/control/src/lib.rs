@@ -21,15 +21,11 @@
 //!   (§5, "Frequency Modulators").
 //! * [`stability`] — closed-loop pole analysis under multiplicative model
 //!   error `A'ᵢ = gᵢ·Aᵢ` (§4.4), computing the stable gain interval.
-//! * [`empc`] — the explicit / multi-parametric MPC fast path §4.3
-//!   sketches: a critical-region cache answering repeat queries with one
-//!   affine evaluation, falling back to the exact QP on KKT violation.
 //! * [`metrics`] — settling time, overshoot and steady-state-error metrics
 //!   used throughout the evaluation.
 
 #![warn(missing_docs)]
 
-pub mod empc;
 pub mod latency;
 pub mod metrics;
 pub mod model;

@@ -155,6 +155,35 @@ impl SafeFixedStepController {
     }
 }
 
+/// Safe Fixed-step sized from an identified model's per-device `gains`
+/// (W/MHz): the margin is one worst-case step's power impact plus 2σ of
+/// meter noise. The runner's baseline and the daemon's fallback both use
+/// this sizing.
+pub(crate) fn sized_safe_fixed_step(
+    layout: &DeviceLayout,
+    gains: &[f64],
+    step_multiplier: usize,
+    meter_noise_std: f64,
+) -> SafeFixedStepController {
+    let worst = layout
+        .kinds
+        .iter()
+        .zip(gains)
+        .map(|(k, g)| {
+            let unit = match k {
+                DeviceKind::Cpu => CPU_STEP_UNIT_MHZ,
+                DeviceKind::Gpu => GPU_STEP_UNIT_MHZ,
+            };
+            (g * unit * step_multiplier as f64).abs()
+        })
+        .fold(0.0_f64, f64::max);
+    SafeFixedStepController::new(
+        layout.clone(),
+        step_multiplier,
+        worst + 2.0 * meter_noise_std,
+    )
+}
+
 impl PowerController for SafeFixedStepController {
     fn name(&self) -> &str {
         &self.name

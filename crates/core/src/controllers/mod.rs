@@ -16,6 +16,7 @@ mod gpu_only;
 pub use capgpu_ctrl::CapGpuController;
 pub use cpu_gpu_split::CpuGpuSplitController;
 pub use cpu_only::CpuOnlyController;
+pub(crate) use fixed_step::sized_safe_fixed_step;
 pub use fixed_step::{FixedStepController, SafeFixedStepController};
 pub use gpu_only::GpuOnlyController;
 

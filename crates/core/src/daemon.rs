@@ -46,8 +46,10 @@ use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 
 use crate::controllers::{
-    CapGpuController, ControlInput, DeviceLayout, PowerController, SafeFixedStepController,
+    sized_safe_fixed_step, CapGpuController, ControlInput, DeviceLayout, PowerController,
+    SafeFixedStepController,
 };
+use crate::runner::period_average;
 use crate::supervisor::{HealthSample, Supervisor, SupervisorConfig, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
@@ -857,30 +859,13 @@ impl Daemon {
         Ok(())
     }
 
-    /// Safe fixed-step fallback sized like the runner's: margin = one
-    /// worst-case step plus meter-noise headroom.
+    /// Safe fixed-step fallback, sized like the runner's at step 1.
     fn build_fallback(&self, model: &LinearPowerModel) -> SafeFixedStepController {
-        let worst = self
-            .layout
-            .kinds
-            .iter()
-            .zip(model.gains().iter())
-            .map(|(k, g)| {
-                let unit = match k {
-                    capgpu_sim::DeviceKind::Cpu => {
-                        crate::controllers::fixed_step::CPU_STEP_UNIT_MHZ
-                    }
-                    capgpu_sim::DeviceKind::Gpu => {
-                        crate::controllers::fixed_step::GPU_STEP_UNIT_MHZ
-                    }
-                };
-                (g * unit).abs()
-            })
-            .fold(0.0_f64, f64::max);
-        SafeFixedStepController::new(
-            self.layout.clone(),
+        sized_safe_fixed_step(
+            &self.layout,
+            model.gains(),
             1,
-            worst + 2.0 * self.backend.meter_noise_std(),
+            self.backend.meter_noise_std(),
         )
     }
 
@@ -902,12 +887,9 @@ impl Daemon {
                 fresh += 1;
             }
         }
-        let avg = self
-            .backend
-            .average_power(self.cfg.control_period_s as usize)
-            .unwrap_or(self.last_avg_watts);
+        let (avg, meter_stale) = period_average(&*self.backend, fresh, self.last_avg_watts);
         self.last_avg_watts = avg;
-        if fresh > 0 {
+        if !meter_stale {
             if let Some(tracker) = self.tracker.as_mut() {
                 tracker.record(&self.applied, avg);
             }
@@ -1069,7 +1051,7 @@ impl Daemon {
             power_w: avg,
             cap_w: directive.effective_setpoint,
             delta_f_mhz,
-            meter_stale: fresh == 0,
+            meter_stale,
             saturated,
             slo_miss_frac: 0.0,
         };
@@ -1764,6 +1746,39 @@ stale_park_periods = 3
         );
         // The escalation and recovery are journaled as tier changes.
         assert!(d.journal().of_kind("tier_change").count() >= 3);
+    }
+
+    #[test]
+    fn mock_partial_dropout_averages_only_fresh_samples() {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.backend = "mock".to_string();
+        cfg.sim_gpus = 2;
+        cfg.sysid_steps_per_device = 4;
+        cfg.control_period_s = 4;
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        let healthy = d.run_periods(3).unwrap();
+        assert!(healthy.iter().all(|r| r.avg_power_watts != 777.0));
+        let mock = d
+            .backend_mut()
+            .as_any_mut()
+            .downcast_mut::<MockBackend>()
+            .expect("mock backend");
+        // One fresh sample among three dropouts: the period must not
+        // blend in the pre-dropout samples still in the meter history...
+        for w in [None, Some(777.0), None, None] {
+            mock.push_power_reading(w);
+        }
+        // ...and a fully silent period holds the previous average.
+        for _ in 0..4 {
+            mock.push_power_reading(None);
+        }
+        let r = d.run_periods(2).unwrap();
+        assert_eq!(r[0].avg_power_watts, 777.0);
+        assert_eq!(r[0].stale_periods, 0);
+        assert_eq!(r[1].avg_power_watts, 777.0);
+        assert_eq!(r[1].stale_periods, 1);
     }
 
     #[test]

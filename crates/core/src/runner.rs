@@ -26,8 +26,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{Scenario, ScheduledChange};
 use crate::controllers::{
-    CapGpuController, ControlInput, CpuGpuSplitController, CpuOnlyController, DeviceLayout,
-    FixedStepController, GpuOnlyController, PowerController, SafeFixedStepController,
+    sized_safe_fixed_step, CapGpuController, ControlInput, CpuGpuSplitController,
+    CpuOnlyController, DeviceLayout, FixedStepController, GpuOnlyController, PowerController,
+    SafeFixedStepController,
 };
 use crate::supervisor::{HealthSample, Supervisor, SupervisorTier};
 use crate::telemetry::{PeriodObservation, Phase, RunTelemetry, TelemetryReport};
@@ -250,6 +251,26 @@ pub struct ExperimentRunner {
     /// Run telemetry (registry + journal + spans); `None` — recording
     /// nothing and touching nothing — unless the scenario opts in.
     telemetry: Option<RunTelemetry>,
+}
+
+/// One control period's measured power from its `fresh` meter samples.
+///
+/// Averaging the last `period` samples unconditionally would silently
+/// blend pre-dropout samples still in the ring buffer into a "fresh"
+/// reading; instead a partial-dropout period averages only what the meter
+/// actually produced this period, and a fully silent period holds `last`
+/// and is flagged stale (`true`) — the supervisor's staleness watchdog
+/// keys on exactly this. The runner and the daemon both measure this way.
+pub(crate) fn period_average<B: PowerBackend + ?Sized>(
+    backend: &B,
+    fresh: usize,
+    last: f64,
+) -> (f64, bool) {
+    if fresh > 0 {
+        (backend.average_power(fresh).unwrap_or(last), false)
+    } else {
+        (last, true)
+    }
 }
 
 impl ExperimentRunner {
@@ -683,28 +704,11 @@ impl ExperimentRunner {
         step_multiplier: usize,
     ) -> Result<SafeFixedStepController> {
         let model = self.identified_model()?;
-        let worst = self
-            .layout
-            .kinds
-            .iter()
-            .zip(model.gains().iter())
-            .map(|(k, g)| {
-                let unit = match k {
-                    capgpu_sim::DeviceKind::Cpu => {
-                        crate::controllers::fixed_step::CPU_STEP_UNIT_MHZ
-                    }
-                    capgpu_sim::DeviceKind::Gpu => {
-                        crate::controllers::fixed_step::GPU_STEP_UNIT_MHZ
-                    }
-                };
-                (g * unit * step_multiplier as f64).abs()
-            })
-            .fold(0.0_f64, f64::max);
-        Ok(SafeFixedStepController::new(
-            self.layout.clone(),
+        Ok(sized_safe_fixed_step(
+            &self.layout,
+            model.gains(),
             step_multiplier,
-            // Margin: one worst-case step plus meter noise headroom.
-            worst + 2.0 * self.backend.meter_noise_std(),
+            self.backend.meter_noise_std(),
         ))
     }
 
@@ -1160,28 +1164,11 @@ impl ExperimentRunner {
             let applied_mean: Vec<f64> = applied_sum.iter().map(|s| s / t as f64).collect();
 
             // Measurement: average the period's *fresh* meter samples.
-            // Averaging `average_last(t)` unconditionally would silently
-            // blend pre-dropout samples still in the ring buffer into a
-            // "fresh" reading; instead a partial-dropout period averages
-            // only what the meter actually produced this period, and a
-            // fully silent period holds the previous measurement and is
-            // flagged stale (the supervisor's staleness watchdog keys on
-            // exactly this).
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_enter(Phase::Sense);
             }
-            let (avg_power, meter_stale) = if fresh_meter_samples >= t {
-                (self.backend.average_power(t).unwrap_or(last_power), false)
-            } else if fresh_meter_samples > 0 {
-                (
-                    self.backend
-                        .average_power(fresh_meter_samples)
-                        .unwrap_or(last_power),
-                    false,
-                )
-            } else {
-                (last_power, true)
-            };
+            let (avg_power, meter_stale) =
+                period_average(&self.backend, fresh_meter_samples, last_power);
             last_power = avg_power;
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();

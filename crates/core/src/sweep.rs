@@ -4,17 +4,17 @@
 //! independent closed-loop experiments: controllers × set points × seeds
 //! × scenario variants. This module factors that grid into an explicit
 //! [`SweepSpec`], expands it into [`SweepCell`]s, and executes the cells
-//! either serially or across OS threads (`std::thread::scope` with an
-//! atomic work index, the same work-stealing idiom as the feature
-//! selection workload's `run_parallel`).
+//! either serially or across OS threads with [`ordered_par_fold`]: an
+//! atomic work index, a bounded reorder window and an in-order fold. The
+//! fleet simulator (`capgpu-fleet`) runs its epochs on the same primitive.
 //!
 //! ## Determinism
 //!
 //! Each cell builds its state from nothing but `(scenario, seed,
 //! set point, controller)`: its runner's RNGs are seeded from the
 //! scenario, no state is shared mutably between cells, and results are
-//! written into per-cell slots. The report is therefore **bit-identical**
-//! for any thread count, and identical to [`SweepSpec::run_serial`].
+//! folded in grid order. The report is therefore **bit-identical** for
+//! any thread count, and identical to [`SweepSpec::run_serial`].
 //!
 //! ## Identification sharing
 //!
@@ -549,17 +549,6 @@ impl StreamReport {
     }
 }
 
-/// Shared fold state of the parallel streaming executor.
-struct FoldState {
-    /// Next cell index to fold (the fold frontier).
-    next: usize,
-    /// Finished cells waiting for the frontier, keyed by cell index.
-    pending: BTreeMap<usize, CellSummary>,
-    groups: Vec<GroupSummary>,
-    telemetry: Option<Snapshot>,
-    peak_pending: usize,
-}
-
 /// Declarative description of an experiment sweep.
 ///
 /// ```
@@ -592,6 +581,108 @@ pub struct SweepSpec {
 /// tunes the same memory/throughput trade everywhere.
 pub fn default_reorder_window(threads: usize) -> usize {
     2 * threads.max(1) + 16
+}
+
+/// The fold frontier of [`ordered_par_fold`], behind one lock.
+struct Frontier<T, F> {
+    /// Next index to fold.
+    next: usize,
+    /// Finished items waiting for the frontier, keyed by index.
+    pending: BTreeMap<usize, T>,
+    peak_pending: usize,
+    error: Option<CapGpuError>,
+    fold: F,
+}
+
+/// Runs `work(i)` for every `i` in `0..n` on up to `threads` scoped OS
+/// threads and hands each result to `fold` strictly in index order — the
+/// one executor behind the full sweep, the streaming sweep and the fleet
+/// simulator's epochs.
+///
+/// Workers claim indices from an atomic counter. A finished item waits in
+/// a pending buffer until every lower index has been folded, and a worker
+/// may only start item `i` while `i < frontier + window`, which bounds the
+/// buffer to `window` items (clamped to ≥ 1). The worker holding the
+/// lowest unfolded index is never blocked, so the frontier always
+/// advances. Because `fold` sees items in index order, order-sensitive
+/// reductions (float sums, telemetry merges) are bit-identical for every
+/// thread count.
+///
+/// Returns the peak pending-buffer size, a scheduling diagnostic.
+///
+/// # Errors
+/// The first error returned by `work` or `fold`; no item starts after it.
+pub fn ordered_par_fold<T: Send>(
+    n: usize,
+    threads: usize,
+    window: usize,
+    work: impl Fn(usize) -> Result<T> + Sync,
+    fold: impl FnMut(usize, T) -> Result<()> + Send,
+) -> Result<usize> {
+    let window = window.max(1);
+    let frontier = Mutex::new(Frontier {
+        next: 0,
+        pending: BTreeMap::new(),
+        peak_pending: 0,
+        error: None,
+        fold,
+    });
+    let gate = Condvar::new();
+    let claim = AtomicUsize::new(0);
+    // Only set under the frontier lock, so a worker waiting at the gate
+    // either sees it or is woken by the notify that follows.
+    let abort = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(n) {
+            scope.spawn(|| loop {
+                let i = claim.fetch_add(1, Ordering::Relaxed);
+                if i >= n || abort.load(Ordering::Relaxed) {
+                    break;
+                }
+                {
+                    let mut st = frontier.lock().expect("frontier lock");
+                    while st.next + window <= i && !abort.load(Ordering::Relaxed) {
+                        st = gate.wait(st).expect("frontier lock");
+                    }
+                }
+                if abort.load(Ordering::Relaxed) {
+                    break;
+                }
+                let result = work(i);
+                let mut guard = frontier.lock().expect("frontier lock");
+                let st = &mut *guard;
+                let failure = match result {
+                    Ok(item) => {
+                        st.pending.insert(i, item);
+                        st.peak_pending = st.peak_pending.max(st.pending.len());
+                        let mut failure = None;
+                        while let Some(ready) = st.pending.remove(&st.next) {
+                            if let Err(e) = (st.fold)(st.next, ready) {
+                                failure = Some(e);
+                                break;
+                            }
+                            st.next += 1;
+                        }
+                        failure
+                    }
+                    Err(e) => Some(e),
+                };
+                if let Some(e) = failure {
+                    abort.store(true, Ordering::Relaxed);
+                    st.error.get_or_insert(e);
+                }
+                gate.notify_all();
+            });
+        }
+    });
+    let st = frontier.into_inner().expect("frontier lock");
+    match st.error {
+        Some(e) => Err(e),
+        None => {
+            debug_assert!(st.next == n && st.pending.is_empty(), "all items folded");
+            Ok(st.peak_pending)
+        }
+    }
 }
 
 impl SweepSpec {
@@ -855,6 +946,11 @@ impl SweepSpec {
         scenario
     }
 
+    /// The `(scenario, seed)` class a cell belongs to.
+    fn class_of(&self, cell: &SweepCell) -> usize {
+        cell.scenario_index * self.n_seeds() + cell.seed_index
+    }
+
     /// Identifies one class's runner (set point is per-cell, overwritten
     /// at clone time; identification never reads it).
     fn identify_class(&self, class_index: usize) -> Result<ExperimentRunner> {
@@ -864,22 +960,80 @@ impl SweepSpec {
         Ok(runner)
     }
 
-    /// Executes one cell, cloning the class's identified runner when the
-    /// controller wants it and building a fresh one otherwise.
-    fn run_cell(
+    fn any_identification(&self) -> bool {
+        self.controllers
+            .iter()
+            .any(ControllerSpec::needs_identification)
+    }
+
+    /// One identified runner per `(scenario, seed)` class, in a plain
+    /// loop (`None` everywhere when no controller identifies).
+    fn identify_serial(&self) -> Result<Vec<Option<ExperimentRunner>>> {
+        let any_ident = self.any_identification();
+        (0..self.scenarios.len() * self.n_seeds())
+            .map(|class| any_ident.then(|| self.identify_class(class)).transpose())
+            .collect()
+    }
+
+    /// [`SweepSpec::identify_serial`] across `threads` OS threads. An
+    /// `ExperimentRunner` is `Send` but not `Sync` (its telemetry registry
+    /// records through `Cell`s), so each class's runner sits behind a lock
+    /// that [`SweepSpec::run_shared_cell`] holds only while cloning.
+    fn identify_parallel(&self, threads: usize) -> Result<Vec<Mutex<Option<ExperimentRunner>>>> {
+        let any_ident = self.any_identification();
+        let n_classes = self.scenarios.len() * self.n_seeds();
+        let mut identified = Vec::with_capacity(n_classes);
+        ordered_par_fold(
+            n_classes,
+            threads,
+            n_classes,
+            |class| any_ident.then(|| self.identify_class(class)).transpose(),
+            |_, runner| {
+                identified.push(Mutex::new(runner));
+                Ok(())
+            },
+        )?;
+        Ok(identified)
+    }
+
+    /// [`SweepSpec::run_cell`] for the parallel executors.
+    fn run_shared_cell(
+        &self,
+        cell: &SweepCell,
+        identified: &[Mutex<Option<ExperimentRunner>>],
+    ) -> Result<(CellOutput, Option<Snapshot>)> {
+        let class = identified[self.class_of(cell)].lock().expect("class lock");
+        let base = self.fork(cell, class.as_ref());
+        drop(class);
+        self.run_cell(cell, base)
+    }
+
+    /// The runner a cell starts from: a clone of its class's identified
+    /// runner when the controller wants one, else `None` (fresh testbed).
+    fn fork(
         &self,
         cell: &SweepCell,
         identified: Option<&ExperimentRunner>,
+    ) -> Option<ExperimentRunner> {
+        identified
+            .filter(|_| self.controllers[cell.controller_index].needs_identification())
+            .cloned()
+    }
+
+    /// Executes one cell from its [`SweepSpec::fork`]ed runner, building a
+    /// fresh one when there is none.
+    fn run_cell(
+        &self,
+        cell: &SweepCell,
+        base: Option<ExperimentRunner>,
     ) -> Result<(CellOutput, Option<Snapshot>)> {
         let spec = &self.controllers[cell.controller_index];
-        let class_index = cell.scenario_index * self.n_seeds() + cell.seed_index;
-        let mut runner = match identified {
-            Some(base) if spec.needs_identification() => {
-                let mut r = base.clone();
+        let mut runner = match base {
+            Some(mut r) => {
                 r.set_setpoint(cell.setpoint);
                 r
             }
-            _ => ExperimentRunner::new(self.class_scenario(class_index), cell.setpoint)?,
+            None => ExperimentRunner::new(self.class_scenario(self.class_of(cell)), cell.setpoint)?,
         };
         if let ControllerSpec::FixedFrequencies {
             freqs,
@@ -923,23 +1077,12 @@ impl SweepSpec {
     pub fn run_serial(&self) -> Result<SweepReport> {
         self.validate()?;
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-        let mut identified: Vec<Option<ExperimentRunner>> = Vec::with_capacity(n_classes);
-        for class in 0..n_classes {
-            identified.push(if any_ident {
-                Some(self.identify_class(class)?)
-            } else {
-                None
-            });
-        }
+        let identified = self.identify_serial()?;
         let mut results = Vec::with_capacity(cells.len());
         for cell in cells {
-            let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-            let (output, telemetry) = self.run_cell(&cell, identified[class].as_ref())?;
+            let class = self.class_of(&cell);
+            let base = self.fork(&cell, identified[class].as_ref());
+            let (output, telemetry) = self.run_cell(&cell, base)?;
             results.push(SweepCellResult {
                 cell,
                 output,
@@ -949,100 +1092,34 @@ impl SweepSpec {
         Ok(self.report(results))
     }
 
-    /// Runs the sweep across `threads` OS threads. Cells are distributed
-    /// by an atomic work index; each writes its own result slot, so the
-    /// report is bit-identical to [`SweepSpec::run_serial`] regardless of
-    /// the thread count or scheduling order.
+    /// Runs the sweep across `threads` OS threads with
+    /// [`ordered_par_fold`]. The reorder window spans every cell, so no
+    /// worker ever waits on the fold; results are collected in grid
+    /// order, so the report is bit-identical to [`SweepSpec::run_serial`]
+    /// regardless of the thread count or scheduling order.
     ///
     /// # Errors
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn run_with_threads(&self, threads: usize) -> Result<SweepReport> {
         self.validate()?;
-        let threads = threads.max(1);
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-
-        let first_error: Mutex<Option<CapGpuError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let record_error = |e: CapGpuError| {
-            abort.store(true, Ordering::Relaxed);
-            first_error.lock().expect("error lock").get_or_insert(e);
-        };
-
-        // Phase 1: one identification per (scenario, seed) class.
-        let identified: Vec<Mutex<Option<ExperimentRunner>>> =
-            (0..n_classes).map(|_| Mutex::new(None)).collect();
-        if any_ident {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n_classes) {
-                    scope.spawn(|| loop {
-                        let class = next.fetch_add(1, Ordering::Relaxed);
-                        if class >= n_classes || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match self.identify_class(class) {
-                            Ok(runner) => {
-                                *identified[class].lock().expect("class lock") = Some(runner);
-                            }
-                            Err(e) => record_error(e),
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        // Phase 2: the cells, work-stolen by index into private slots.
-        let slots: Vec<Mutex<Option<SweepCellResult>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-                    let base = identified[class]
-                        .lock()
-                        .expect("class lock")
-                        .as_ref()
-                        .cloned();
-                    match self.run_cell(cell, base.as_ref()) {
-                        Ok((output, telemetry)) => {
-                            *slots[i].lock().expect("slot lock") = Some(SweepCellResult {
-                                cell: cell.clone(),
-                                output,
-                                telemetry,
-                            });
-                        }
-                        Err(e) => record_error(e),
-                    }
+        let identified = self.identify_parallel(threads)?;
+        let mut results = Vec::with_capacity(cells.len());
+        ordered_par_fold(
+            cells.len(),
+            threads,
+            cells.len(),
+            |i| self.run_shared_cell(&cells[i], &identified),
+            |i, (output, telemetry)| {
+                results.push(SweepCellResult {
+                    cell: cells[i].clone(),
+                    output,
+                    telemetry,
                 });
-            }
-        });
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("cell completed without error")
-            })
-            .collect();
+                Ok(())
+            },
+        )?;
         Ok(self.report(results))
     }
 
@@ -1168,24 +1245,13 @@ impl SweepSpec {
     pub fn streaming_serial(&self) -> Result<StreamReport> {
         self.validate()?;
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-        let mut identified: Vec<Option<ExperimentRunner>> = Vec::with_capacity(n_classes);
-        for class in 0..n_classes {
-            identified.push(if any_ident {
-                Some(self.identify_class(class)?)
-            } else {
-                None
-            });
-        }
+        let identified = self.identify_serial()?;
         let mut groups = self.make_groups();
         let mut telemetry = None;
         for cell in &cells {
-            let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-            let (output, telem) = self.run_cell(cell, identified[class].as_ref())?;
+            let class = self.class_of(cell);
+            let base = self.fork(cell, identified[class].as_ref());
+            let (output, telem) = self.run_cell(cell, base)?;
             let s = self.summarize_cell(cell, &output, telem);
             drop(output); // the trace dies here — flat memory
             Self::fold_summary(&mut groups, &mut telemetry, s)?;
@@ -1199,143 +1265,39 @@ impl SweepSpec {
         })
     }
 
-    /// Runs the streaming sweep across `threads` OS threads.
-    ///
-    /// Cells are claimed by an atomic work index, but folding happens
-    /// strictly at the fold frontier (cell `next` folds before `next+1`),
-    /// with finished out-of-order cells parked in a pending buffer. A
-    /// worker may only *claim* a cell while it is within the reorder
+    /// Runs the streaming sweep across `threads` OS threads with
+    /// [`ordered_par_fold`]: each cell is reduced to its summary on the
+    /// worker (its trace dies there) and folded in grid order. The reorder
     /// window ([`SweepSpec::reorder_window`] if configured, else
-    /// `2·threads + 16`) of the frontier, which bounds the buffer:
-    /// the worker holding the lowest unfolded cell is never blocked, so
-    /// the frontier always advances (no deadlock) and
-    /// [`StreamReport::peak_pending`] never exceeds the window.
+    /// `2·threads + 16`) bounds the buffered summaries, so
+    /// [`StreamReport::peak_pending`] never exceeds it.
     ///
     /// # Errors
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn streaming_with_threads(&self, threads: usize) -> Result<StreamReport> {
         self.validate()?;
-        let threads = threads.max(1);
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-
-        let first_error: Mutex<Option<CapGpuError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let record_error = |e: CapGpuError| {
-            abort.store(true, Ordering::Relaxed);
-            first_error.lock().expect("error lock").get_or_insert(e);
-        };
-
-        // Phase 1: one identification per (scenario, seed) class — the
-        // same shared-identification scheme as `run_with_threads`.
-        let identified: Vec<Mutex<Option<ExperimentRunner>>> =
-            (0..n_classes).map(|_| Mutex::new(None)).collect();
-        if any_ident {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n_classes) {
-                    scope.spawn(|| loop {
-                        let class = next.fetch_add(1, Ordering::Relaxed);
-                        if class >= n_classes || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match self.identify_class(class) {
-                            Ok(runner) => {
-                                *identified[class].lock().expect("class lock") = Some(runner);
-                            }
-                            Err(e) => record_error(e),
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        // Phase 2: run cells and fold them at the frontier.
-        let window = self.effective_reorder_window(threads);
-        let fold = Mutex::new(FoldState {
-            next: 0,
-            pending: BTreeMap::new(),
-            groups: self.make_groups(),
-            telemetry: None,
-            peak_pending: 0,
-        });
-        let gate = Condvar::new();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Admission control: stay within the reorder window of
-                    // the fold frontier.
-                    {
-                        let mut st = fold.lock().expect("fold lock");
-                        while st.next + window <= i && !abort.load(Ordering::Relaxed) {
-                            st = gate.wait(st).expect("fold lock");
-                        }
-                    }
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-                    let base = identified[class]
-                        .lock()
-                        .expect("class lock")
-                        .as_ref()
-                        .cloned();
-                    match self.run_cell(cell, base.as_ref()) {
-                        Ok((output, telem)) => {
-                            let s = self.summarize_cell(cell, &output, telem);
-                            drop(output); // the trace dies here — flat memory
-                            let mut st = fold.lock().expect("fold lock");
-                            st.pending.insert(i, s);
-                            st.peak_pending = st.peak_pending.max(st.pending.len());
-                            while let Some(ready) = {
-                                let key = st.next;
-                                st.pending.remove(&key)
-                            } {
-                                let FoldState {
-                                    groups, telemetry, ..
-                                } = &mut *st;
-                                if let Err(e) = Self::fold_summary(groups, telemetry, ready) {
-                                    record_error(e);
-                                    break;
-                                }
-                                st.next += 1;
-                            }
-                            gate.notify_all();
-                        }
-                        Err(e) => {
-                            record_error(e);
-                            gate.notify_all();
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        let st = fold.into_inner().expect("fold lock");
-        debug_assert_eq!(st.next, cells.len(), "all cells folded");
-        debug_assert!(st.pending.is_empty(), "no cell left pending");
+        let identified = self.identify_parallel(threads)?;
+        let mut groups = self.make_groups();
+        let mut telemetry = None;
+        let peak_pending = ordered_par_fold(
+            cells.len(),
+            threads,
+            self.effective_reorder_window(threads),
+            |i| {
+                let cell = &cells[i];
+                let (output, telem) = self.run_shared_cell(cell, &identified)?;
+                // The trace dies here — flat memory.
+                Ok(self.summarize_cell(cell, &output, telem))
+            },
+            |_, s| Self::fold_summary(&mut groups, &mut telemetry, s),
+        )?;
         Ok(StreamReport {
-            groups: st.groups,
+            groups,
             cells: cells.len(),
-            telemetry: st.telemetry,
-            peak_pending: st.peak_pending,
+            telemetry,
+            peak_pending,
             n_controllers: self.controllers.len(),
         })
     }
@@ -1344,6 +1306,116 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// Uneven but deterministic per-item work: a short sleep whose length
+    /// cycles through 0..=4 × 200 µs, so later items often finish first.
+    fn uneven_work(i: usize) -> Result<usize> {
+        std::thread::sleep(Duration::from_micros(((i * 7) % 5) as u64 * 200));
+        Ok(i * i)
+    }
+
+    /// Runs [`ordered_par_fold`] over `uneven_work`-shaped items and
+    /// returns its result plus the indices in the order the fold saw them.
+    fn fold_order(
+        n: usize,
+        threads: usize,
+        window: usize,
+        work: impl Fn(usize) -> Result<usize> + Sync,
+    ) -> (Result<usize>, Vec<usize>) {
+        let mut seen = Vec::new();
+        let peak = ordered_par_fold(n, threads, window, work, |i, v| {
+            assert_eq!(v, i * i, "item {i} folded with another item's result");
+            seen.push(i);
+            Ok(())
+        });
+        (peak, seen)
+    }
+
+    #[test]
+    fn ordered_par_fold_folds_in_index_order_for_any_thread_count() {
+        for threads in [1, 2, 4, 8] {
+            let (peak, seen) =
+                fold_order(40, threads, default_reorder_window(threads), uneven_work);
+            peak.unwrap();
+            assert_eq!(seen, (0..40).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn ordered_par_fold_pending_stays_within_window() {
+        for window in [1, 2, 5] {
+            let in_flight = AtomicUsize::new(0);
+            let peak_in_flight = AtomicUsize::new(0);
+            let (peak_pending, _) = fold_order(30, 4, window, |i| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak_in_flight.fetch_max(now, Ordering::SeqCst);
+                let out = uneven_work(i);
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                out
+            });
+            let peak_pending = peak_pending.unwrap();
+            assert!(
+                (1..=window).contains(&peak_pending),
+                "window {window}: {peak_pending}"
+            );
+            // Window 1 serialises: an item starts only after every lower
+            // item folded, so work never overlaps.
+            assert!(peak_in_flight.load(Ordering::SeqCst) <= window);
+        }
+    }
+
+    #[test]
+    fn ordered_par_fold_returns_first_error_and_stops_claiming() {
+        let (fail_at, window) = (6, 3);
+        for threads in [1, 2, 4, 8] {
+            let calls = AtomicUsize::new(0);
+            let (result, seen) = fold_order(100, threads, window, |i| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if i == fail_at {
+                    Err(CapGpuError::BadConfig(format!("item {i}")))
+                } else {
+                    uneven_work(i)
+                }
+            });
+            let err = result.unwrap_err();
+            assert!(
+                matches!(&err, CapGpuError::BadConfig(m) if m == "item 6"),
+                "{err}"
+            );
+            // The fold saw an in-order prefix that stops before the
+            // failure, and the window caps how far past it work started.
+            assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>());
+            assert!(seen.len() <= fail_at);
+            let calls = calls.load(Ordering::SeqCst);
+            assert!(
+                calls <= fail_at + window,
+                "{threads} threads ran {calls} items"
+            );
+            if threads == 1 {
+                assert_eq!((calls, seen.len()), (fail_at + 1, fail_at));
+            }
+        }
+        // A fold error is returned the same way.
+        let err = ordered_par_fold(10, 3, 4, uneven_work, |i, _| {
+            if i == 2 {
+                Err(CapGpuError::BadConfig("fold".into()))
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(&err, CapGpuError::BadConfig(m) if m == "fold"));
+    }
+
+    #[test]
+    fn ordered_par_fold_handles_empty_and_oversubscribed_input() {
+        let (peak, seen) = fold_order(0, 4, 4, |_| panic!("no item to run"));
+        assert_eq!((peak.unwrap(), seen.len()), (0, 0));
+        let (peak, seen) = fold_order(3, 16, 0, uneven_work);
+        peak.unwrap();
+        assert_eq!(seen, vec![0, 1, 2]);
+    }
 
     fn small_spec() -> SweepSpec {
         SweepSpec::new(Scenario::paper_testbed(7))

@@ -5,9 +5,9 @@
 //! stack:
 //!
 //! - [`topology`]: an arbitrary-depth budget tree (datacenter → row →
-//!   rack → server) with hierarchical max–min water-filling, generalizing
-//!   `capgpu::rack` — Σ child budgets ≤ parent budget at every level, by
-//!   construction.
+//!   rack → server) with hierarchical max–min water-filling — Σ child
+//!   budgets ≤ parent budget at every level, by construction. A depth-1
+//!   tree is a single rack.
 //! - [`balancer`]: a power-aware request-stream migration policy — when a
 //!   server's budget binds and SLOs slip, a stream moves to the server
 //!   with the most spare power capacity.

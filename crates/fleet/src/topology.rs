@@ -1,16 +1,16 @@
 //! Fleet topology: an arbitrary-depth budget tree over CapGPU servers.
 //!
-//! `capgpu::rack` divides one budget across a flat list of servers. A
-//! datacenter divides hierarchically — datacenter → row → rack → server —
-//! and every interior node has its own breaker/PDU rating that the sum of
-//! its children's set points must respect. This module generalizes the
-//! rack's max–min water-fill to a tree: at each node the parent budget is
-//! water-filled over the children's aggregate demands (with per-child
-//! floors equal to the sum of their subtree floors), then each child's
-//! share recurses downward. Conservation at every level means
+//! A datacenter divides its power budget hierarchically — datacenter →
+//! row → rack → server — and every interior node has its own breaker/PDU
+//! rating that the sum of its children's set points must respect. This
+//! module applies max–min water-filling over a tree: at each node the
+//! parent budget is water-filled over the children's aggregate demands
+//! (with per-child floors equal to the sum of their subtree floors), then
+//! each child's share recurses downward. Conservation at every level means
 //! Σ child shares ≤ parent share by construction, so no breaker in the
-//! tree is ever oversubscribed by the *set points* — the same "safe
-//! capping" invariant the flat rack provides, now at every depth.
+//! tree is ever oversubscribed by the *set points* ("safe capping", after
+//! Dynamo) at any depth. A depth-1 tree is a single rack dividing one
+//! budget across a flat list of servers.
 
 use capgpu::{CapGpuError, Result};
 
@@ -73,12 +73,12 @@ pub struct Division {
     pub node_shares: Vec<(usize, f64)>,
 }
 
-/// Max–min water-filling with **per-member floors**: the generalization
-/// of [`capgpu::rack::water_fill`] needed at interior tree nodes, where
-/// each child's floor is the sum of its subtree's per-server floors (and
-/// therefore differs per child).
+/// Max–min water-filling with **per-member floors**: at interior tree
+/// nodes each child's floor is the sum of its subtree's per-server floors
+/// (and therefore differs per child).
 ///
-/// Semantics match the flat rack exactly when all floors are equal:
+/// Semantics match uniform-floor water-filling exactly when all floors
+/// are equal:
 /// floors are granted first (scaled proportionally if the budget cannot
 /// cover them), the remainder iteratively satisfies the smallest unmet
 /// demand, and any surplus is spread evenly. Σ alloc == budget whenever
@@ -451,16 +451,6 @@ mod tests {
         let d = t.divide_equal(2000.0);
         assert_eq!(d.server_allocs, vec![500.0, 500.0, 1000.0]);
         assert!(d.max_child_sum_violation() < 1e-9);
-    }
-
-    #[test]
-    fn water_fill_floors_matches_uniform_floor_water_fill() {
-        let demands = [500.0, 800.0, 1200.0];
-        let flat = capgpu::rack::water_fill(&demands, 2000.0, 100.0);
-        let tree = water_fill_floors(&demands, &[100.0; 3], 2000.0);
-        for (a, b) in flat.iter().zip(tree.iter()) {
-            assert!((a - b).abs() < 1e-9, "flat {a} vs floors {b}");
-        }
     }
 
     #[test]

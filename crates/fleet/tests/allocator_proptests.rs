@@ -1,11 +1,80 @@
-//! Property tests for the hierarchical budget allocator (ISSUE
-//! invariants): Σ child budgets ≤ parent budget at every tree level,
-//! allocation monotone in the total budget, and agreement with the flat
-//! `capgpu::rack` water-fill on a depth-1 tree.
+//! Property tests for the hierarchical budget allocator: Σ child budgets
+//! ≤ parent budget at every tree level, allocation monotone in the total
+//! budget, and agreement with flat uniform-floor water-filling (the
+//! [`water_fill`] oracle below) on a depth-1 tree.
 
 use capgpu_fleet::prelude::*;
 use capgpu_fleet::topology::water_fill_floors;
 use proptest::prelude::*;
+
+/// Flat max–min water-filling with one uniform floor — the reference a
+/// depth-1 tree must reproduce. Every member first gets
+/// `min(floor, budget/n)`; the remainder iteratively satisfies the
+/// smallest unmet demand; any surplus is spread evenly.
+fn water_fill(demands: &[f64], budget: f64, floor: f64) -> Vec<f64> {
+    let n = demands.len();
+    if n == 0 {
+        return vec![];
+    }
+    let mut alloc = vec![floor.max(0.0).min(budget / n as f64); n];
+    let mut remaining = budget - alloc.iter().sum::<f64>();
+    let mut unmet: Vec<usize> = (0..n).filter(|&i| demands[i] > alloc[i]).collect();
+    while remaining > 1e-9 && !unmet.is_empty() {
+        let share = remaining / unmet.len() as f64;
+        let mut consumed = 0.0;
+        let mut still_unmet = Vec::with_capacity(unmet.len());
+        for &i in &unmet {
+            let take = (demands[i] - alloc[i]).min(share);
+            alloc[i] += take;
+            consumed += take;
+            if demands[i] > alloc[i] + 1e-12 {
+                still_unmet.push(i);
+            }
+        }
+        remaining -= consumed;
+        if consumed <= 1e-12 {
+            break;
+        }
+        unmet = still_unmet;
+    }
+    if remaining > 1e-9 {
+        let share = remaining / n as f64;
+        for a in alloc.iter_mut() {
+            *a += share;
+        }
+    }
+    alloc
+}
+
+#[test]
+fn water_fill_floors_matches_uniform_floor_water_fill() {
+    let demands = [500.0, 800.0, 1200.0];
+    let flat = water_fill(&demands, 2000.0, 100.0);
+    let tree = water_fill_floors(&demands, &[100.0; 3], 2000.0);
+    for (a, b) in flat.iter().zip(tree.iter()) {
+        assert!((a - b).abs() < 1e-9, "flat {a} vs floors {b}");
+    }
+}
+
+#[test]
+fn water_fill_floors_conserves_budget_and_fills_small_demands_first() {
+    let alloc = water_fill_floors(&[500.0, 800.0, 1200.0], &[100.0; 3], 2000.0);
+    assert!((alloc.iter().sum::<f64>() - 2000.0).abs() < 1e-9);
+    assert!((alloc[0] - 500.0).abs() < 1e-9);
+    let alloc = water_fill_floors(&[300.0, 900.0], &[0.0; 2], 1000.0);
+    assert!((alloc[0] - 300.0).abs() < 1e-9);
+    assert!((alloc[1] - 700.0).abs() < 1e-9);
+}
+
+#[test]
+fn water_fill_floors_spreads_surplus_and_respects_floor() {
+    let alloc = water_fill_floors(&[300.0, 300.0], &[0.0; 2], 1000.0);
+    assert!((alloc[0] - 500.0).abs() < 1e-9);
+    assert!((alloc[1] - 500.0).abs() < 1e-9);
+    let alloc = water_fill_floors(&[0.0, 1000.0], &[200.0; 2], 900.0);
+    assert!(alloc[0] >= 200.0 - 1e-9);
+    assert!((alloc.iter().sum::<f64>() - 900.0).abs() < 1e-9);
+}
 
 /// Builds a depth-3 datacenter (dc → row → rack → servers) from nested
 /// rack sizes.
@@ -115,7 +184,7 @@ proptest! {
         .expect("flat tree");
         let floors = vec![floor; demands.len()];
         let tree = t.divide(budget, &demands, &floors);
-        let flat = capgpu::rack::water_fill(&demands, budget, floor);
+        let flat = water_fill(&demands, budget, floor);
         for (i, (a, b)) in tree.server_allocs.iter().zip(flat.iter()).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-6,

@@ -16,11 +16,6 @@
 //! * [`projgrad`] — **projected gradient descent** for box-constrained QPs.
 //!   Slower but simple; used as an independent cross-check of the active-set
 //!   solver in tests and as a fallback if the active set cycles.
-//! * [`sqp`] — an **SLSQP-style sequential quadratic programming** loop
-//!   (damped-BFGS Hessian, L1 merit line search) for smooth nonlinear
-//!   problems. This mirrors the paper's solver choice and handles the
-//!   *non-reduced* latency constraint `e_min·(f_max/f)^γ ≤ SLO` directly;
-//!   tests verify it agrees with the analytic reduction used by the QP path.
 //! * [`kkt`] — first-order optimality (KKT) condition checking shared by the
 //!   test suites of all solvers.
 
@@ -30,11 +25,9 @@ pub mod boxqp;
 pub mod kkt;
 pub mod projgrad;
 pub mod qp;
-pub mod sqp;
 
 pub use boxqp::{BoxFactor, BoxQp, BoxQpProblem, BoxQpSolution, VarState};
 pub use qp::{ActiveSetQp, QpProblem, QpSolution};
-pub use sqp::{NlpProblem, SqpOptions, SqpResult, SqpSolver};
 
 /// Errors produced by the optimization solvers.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,12 +1,13 @@
 //! Rack-level power coordination (extension beyond the paper, after the
 //! SHIP/Dynamo lineage in its related work): two CapGPU servers share one
-//! rack budget; a max–min water-filling coordinator re-divides the budget
-//! every few control periods based on observed demand.
+//! rack budget; the fleet allocator's max–min water-filling re-divides the
+//! budget every epoch of a few control periods based on observed demand.
+//! A one-rack `FleetTopology` is the flat rack coordinator.
 //!
 //! Run with: `cargo run --release --example rack_coordination`
 
 use capgpu::config::Scenario;
-use capgpu::rack::{Rack, RackConfig};
+use capgpu_fleet::prelude::*;
 use capgpu_workload::models;
 
 fn main() {
@@ -18,43 +19,62 @@ fn main() {
         *m = models::resnet50();
         m.e_min_s = 0.005;
     }
+    let classes = [("heavy", heavy), ("light", light)].map(|(label, scenario)| ServerClass {
+        label: label.into(),
+        scenario,
+        nominal_streams: 1,
+    });
+    let rack = FleetTopology::new(Node::Group {
+        label: "rack".into(),
+        children: (0..classes.len())
+            .map(|class| Node::Server(ServerSpec { class, streams: 1 }))
+            .collect(),
+    })
+    .expect("topology");
 
     let budget = 1900.0;
-    let mut rack = Rack::new(
-        vec![heavy, light],
-        RackConfig {
-            budget_watts: budget,
-            rebalance_every: 8,
+    let mut sim = FleetSim::new(
+        rack,
+        &classes,
+        FleetConfig {
+            epochs: 1,
+            epoch_periods: 8,
+            migration: None,
             min_share_watts: 700.0,
+            ..FleetConfig::new(budget)
         },
     )
-    .expect("rack");
+    .expect("fleet");
 
-    println!("rack budget: {budget:.0} W across {} servers\n", rack.len());
-    let trace = rack.run(6).expect("run");
-
+    println!("rack budget: {budget:.0} W across {} servers\n", sim.len());
     println!(
         "{:>5} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "epoch", "A assigned", "A measured", "B assigned", "B measured", "rack total"
     );
-    for (e, epoch) in trace.epochs.iter().enumerate() {
+    // One epoch per `run`: the simulator carries every server's state
+    // across calls, so the per-server stats trace the rebalancing.
+    let mut last = Vec::new();
+    for e in 0..6 {
+        let report = sim.run(1).expect("run");
+        let epoch = &report.epochs[0];
+        let s = &report.stats;
         println!(
             "{e:>5} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            epoch[0].assigned,
-            epoch[0].measured,
-            epoch[1].assigned,
-            epoch[1].measured,
-            trace.total_measured(e)
+            s[0].assigned,
+            s[0].measured,
+            s[1].assigned,
+            s[1].measured,
+            epoch.measured_watts()
         );
         assert!(
-            trace.total_assigned(e) <= budget + 1e-6,
+            epoch.assigned_watts() <= budget + 1e-6,
             "rack over-assigned"
         );
+        last = report.stats;
     }
-    let last = trace.epochs.last().unwrap();
     assert!(last[0].assigned > last[1].assigned);
     println!(
-        "\nThe coordinator moved {:.0} W from the idle server to the busy one\nwhile never assigning more than the rack budget ✓",
+        "\nThe allocator moved {:.0} W from the idle server to the busy one\nwhile never assigning more than the rack budget ✓",
         last[0].assigned - budget / 2.0
     );
 }
