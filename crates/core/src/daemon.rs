@@ -29,6 +29,8 @@
 //! backends return `None`, which keeps sim-mode JSONL byte-identical
 //! across reruns and safe to golden-check in CI.
 
+use std::cell::Cell;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +40,7 @@ use capgpu_backend::{MockBackend, PowerBackend, SimBackend};
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::sysid::{ExcitationPlan, ScaledModelTracker, SystemIdentifier};
 use capgpu_obs::analyzer::{AnalyzerConfig, HealthAnalyzer, PeriodSample, DETECTORS};
-use capgpu_obs::replay::{format_targets, ReplayState};
+use capgpu_obs::replay::{write_targets, ReplayState};
 use capgpu_obs::rotate::{JournalWriter, RotationConfig};
 use capgpu_sim::{presets, ServerBuilder};
 use capgpu_telemetry::journal::{Event, Journal};
@@ -621,6 +623,12 @@ pub struct Daemon {
     throughput_buf: Vec<f64>,
     device_power_buf: Vec<f64>,
     ejected_buf: Vec<bool>,
+    /// The `targets` field of the next `period` record.
+    targets_buf: String,
+    /// The JSON line of the record being journaled.
+    line_buf: String,
+    /// Length of the last exposition, the next one's capacity hint.
+    exposition_len: Cell<usize>,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -754,6 +762,9 @@ impl Daemon {
             throughput_buf: Vec::with_capacity(n),
             device_power_buf: vec![0.0; n],
             ejected_buf: vec![false; n],
+            targets_buf: String::new(),
+            line_buf: String::new(),
+            exposition_len: Cell::new(0),
         })
     }
 
@@ -763,7 +774,9 @@ impl Daemon {
     /// never stop actuation.
     fn record(&mut self, event: Event) {
         if let Some(w) = self.writer.as_mut() {
-            if w.append(&event.to_json(), event.sim_time_s).is_err() {
+            self.line_buf.clear();
+            event.write_json(&mut self.line_buf);
+            if w.append(&self.line_buf, event.sim_time_s).is_err() {
                 self.registry.inc(self.metrics.journal_errors, 1);
             }
         }
@@ -1034,7 +1047,8 @@ impl Daemon {
             }
         }
         // -- journal + metrics ----------------------------------------
-        let targets_str = format_targets(&self.targets);
+        self.targets_buf.clear();
+        write_targets(&mut self.targets_buf, &self.targets);
         self.record(
             Event::new(self.period, self.sim_time_s, "period")
                 .wall_ms(self.backend.wall_clock_unix_ms())
@@ -1044,7 +1058,7 @@ impl Daemon {
                 .u64("stale", directive.stale_periods as u64)
                 .f64("delta_f_mhz", delta_f_mhz)
                 .bool("saturated", saturated)
-                .str("targets", &targets_str),
+                .str("targets", &self.targets_buf),
         );
         // -- online health analyzer -----------------------------------
         let sample = PeriodSample {
@@ -1147,9 +1161,17 @@ impl Daemon {
         self.registry.snapshot()
     }
 
-    /// Prometheus text-format exposition of the current metrics.
+    /// Prometheus text-format exposition of the current metrics,
+    /// rendered straight from the live registry (byte-identical to
+    /// `metrics_snapshot().to_prometheus_text()`). Sized from the last
+    /// rendering plus headroom for wider values, so a steady loop
+    /// allocates only the returned string.
     pub fn prometheus_text(&self) -> String {
-        self.registry.snapshot().to_prometheus_text()
+        let hint = self.exposition_len.get();
+        let mut out = String::with_capacity(hint + hint / 4);
+        self.registry.write_prometheus_text(&mut out);
+        self.exposition_len.set(out.len());
+        out
     }
 
     /// The wrapped backend.
@@ -1171,17 +1193,27 @@ impl Daemon {
     /// JSON body for the `/healthz` endpoint: supervisor tier, worst
     /// analyzer verdict, periods observed, and per-detector verdicts.
     pub fn health_json(&self) -> String {
-        let mut out = format!(
+        let verdicts = self.analyzer.verdicts();
+        // The fixed fields take at most 96 bytes; each detector entry
+        // is its name plus at most 16 (`"name":"critical",`).
+        let cap = 96
+            + verdicts
+                .iter()
+                .map(|(name, _)| name.len() + 16)
+                .sum::<usize>();
+        let mut out = String::with_capacity(cap);
+        let _ = write!(
+            out,
             "{{\"tier\":{},\"overall\":\"{}\",\"periods\":{},\"detectors\":{{",
             self.last_tier.as_u8(),
             self.analyzer.overall().label(),
             self.analyzer.periods()
         );
-        for (i, (name, v)) in self.analyzer.verdicts().iter().enumerate() {
+        for (i, (name, v)) in verdicts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{name}\":\"{}\"", v.label()));
+            let _ = write!(out, "\"{name}\":\"{}\"", v.label());
         }
         out.push_str("}}");
         out
@@ -1779,6 +1811,70 @@ stale_park_periods = 3
         assert_eq!(r[0].stale_periods, 0);
         assert_eq!(r[1].avg_power_watts, 777.0);
         assert_eq!(r[1].stale_periods, 1);
+    }
+
+    fn mock_daemon() -> Daemon {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.backend = "mock".to_string();
+        cfg.sim_gpus = 2;
+        cfg.sysid_steps_per_device = 4;
+        cfg.control_period_s = 2;
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        d
+    }
+
+    fn mock(d: &mut Daemon) -> &mut MockBackend {
+        d.backend_mut()
+            .as_any_mut()
+            .downcast_mut::<MockBackend>()
+            .expect("mock backend")
+    }
+
+    /// The live-registry exposition equals the snapshot one on every
+    /// rung of a dropout walk, recovery included.
+    #[test]
+    fn live_exposition_matches_snapshot_through_the_ladder() {
+        let mut d = mock_daemon();
+        let same = |d: &Daemon| d.prometheus_text() == d.metrics_snapshot().to_prometheus_text();
+        assert!(same(&d), "before the first period");
+        d.run_periods(3).unwrap();
+        assert!(same(&d));
+        mock(&mut d).apply_fault(&FaultKind::MeterDropout).unwrap();
+        let mut seen = Vec::new();
+        for _ in 0..6 {
+            seen.push(d.step_period().unwrap().tier);
+            assert!(same(&d), "at tier {:?}", seen.last());
+        }
+        assert!(seen.contains(&SupervisorTier::SafeFallback), "{seen:?}");
+        assert_eq!(seen.last(), Some(&SupervisorTier::Park), "{seen:?}");
+        mock(&mut d).clear_fault(&FaultKind::MeterDropout).unwrap();
+        for _ in 0..14 {
+            d.step_period().unwrap();
+            assert!(same(&d));
+        }
+        assert_eq!(d.tier(), SupervisorTier::Primary);
+    }
+
+    /// An ∞ meter sample reaches the power gauge; the exposition must
+    /// spell it `+Inf` (text format 0.0.4), not Rust's `inf`.
+    #[test]
+    fn infinite_power_sample_renders_as_plus_inf() {
+        let mut d = mock_daemon();
+        d.run_periods(2).unwrap();
+        for _ in 0..2 {
+            mock(&mut d).push_power_reading(Some(f64::INFINITY));
+        }
+        let r = d.step_period().unwrap();
+        assert_eq!(r.avg_power_watts, f64::INFINITY);
+        let text = d.prometheus_text();
+        assert!(
+            text.lines()
+                .any(|l| l == "capgpud_power_watts{backend=\"mock\"} +Inf"),
+            "{text}"
+        );
+        assert!(!text.contains("inf"), "{text}");
     }
 
     #[test]

@@ -167,17 +167,18 @@ pub fn parse_targets(s: &str) -> Option<Vec<f64>> {
 /// round-trip per element, matching `Event::to_json` float rendering).
 pub fn format_targets(targets: &[f64]) -> String {
     let mut out = String::new();
-    for (i, t) in targets.iter().enumerate() {
+    write_targets(&mut out, targets);
+    out
+}
+
+/// Appends [`format_targets`]'s rendering to `out`.
+pub fn write_targets(out: &mut String, targets: &[f64]) {
+    for (i, &t) in targets.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        if t.fract() == 0.0 && t.abs() < 1e15 {
-            out.push_str(&format!("{}", *t as i64));
-        } else {
-            out.push_str(&format!("{t}"));
-        }
+        capgpu_telemetry::write_f64(out, t);
     }
-    out
 }
 
 #[cfg(test)]

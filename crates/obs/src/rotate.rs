@@ -121,8 +121,9 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 ///
 /// Appends pre-rendered record lines (`Event::to_json` output) to the
 /// active segment, sealing and rolling per [`RotationConfig`]. Each
-/// append is flushed so a crash loses at most the record being written
-/// — the torn-tail case the reader explicitly tolerates.
+/// record, newline included, reaches the unbuffered segment file in
+/// one `write`, so a crash loses at most the record being written —
+/// the torn-tail case the reader explicitly tolerates.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
@@ -141,6 +142,8 @@ pub struct JournalWriter {
     sealed: u64,
     /// Segments deleted by the reaper over the writer's lifetime.
     reaped: u64,
+    /// The record being appended, newline included (reused).
+    line_buf: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -170,6 +173,7 @@ impl JournalWriter {
             appended: 0,
             sealed: 0,
             reaped: 0,
+            line_buf: Vec::new(),
         })
     }
 
@@ -209,12 +213,12 @@ impl JournalWriter {
             self.seg_first_t_s = None;
         }
         let file = self.file.as_mut().expect("opened above");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        self.seg_crc = crc32_update(self.seg_crc, line.as_bytes());
-        self.seg_crc = crc32_update(self.seg_crc, b"\n");
-        self.seg_bytes += line.len() as u64 + 1;
+        self.line_buf.clear();
+        self.line_buf.extend_from_slice(line.as_bytes());
+        self.line_buf.push(b'\n');
+        file.write_all(&self.line_buf)?;
+        self.seg_crc = crc32_update(self.seg_crc, &self.line_buf);
+        self.seg_bytes += self.line_buf.len() as u64;
         self.seg_records += 1;
         self.seg_first_t_s.get_or_insert(t_s);
         self.appended += 1;

@@ -105,14 +105,20 @@ impl Event {
     /// Render this event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append this event's JSON object (no trailing newline) to `out`,
+    /// encoding every field in place.
+    pub fn write_json(&self, out: &mut String) {
         let _ = write!(
             out,
-            "{{\"v\":{},\"period\":{},\"t_s\":{},\"kind\":\"{}\"",
-            SCHEMA_VERSION,
-            self.period,
-            fmt_json_f64(self.sim_time_s),
-            self.kind
+            "{{\"v\":{},\"period\":{},\"t_s\":",
+            SCHEMA_VERSION, self.period
         );
+        write_json_f64(out, self.sim_time_s);
+        let _ = write!(out, ",\"kind\":\"{}\"", self.kind);
         if let Some(ms) = self.wall_unix_ms {
             let _ = write!(out, ",\"wall_ms\":{ms}");
         }
@@ -125,19 +131,18 @@ impl Event {
                 Value::I64(x) => {
                     let _ = write!(out, "{x}");
                 }
-                Value::F64(x) => {
-                    let _ = write!(out, "{}", fmt_json_f64(*x));
-                }
+                Value::F64(x) => write_json_f64(out, *x),
                 Value::Bool(x) => {
                     let _ = write!(out, "{x}");
                 }
                 Value::Str(s) => {
-                    let _ = write!(out, "\"{}\"", escape_json(s));
+                    out.push('"');
+                    write_json_str(out, s);
+                    out.push('"');
                 }
             }
         }
         out.push('}');
-        out
     }
 }
 
@@ -184,7 +189,7 @@ impl Journal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.to_json());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -196,22 +201,20 @@ impl Journal {
     }
 }
 
-/// JSON-compatible float rendering: integral values stay integral
-/// (JSON has no distinct int type, so `48` parses fine as a number),
+/// JSON-compatible float rendering: the shared integral-float rule
+/// (JSON has no distinct int type, so `48` parses fine as a number);
 /// non-finite values — which valid events never carry — degrade to
 /// `null`.
-fn fmt_json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
+fn write_json_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        crate::write_f64(out, v);
     } else {
-        format!("{v}")
+        out.push_str("null");
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` JSON-escaped (without the surrounding quotes).
+fn write_json_str(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -225,7 +228,6 @@ fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

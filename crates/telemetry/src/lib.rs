@@ -63,6 +63,21 @@ impl std::fmt::Display for TelemetryError {
 
 impl std::error::Error for TelemetryError {}
 
+/// Appends `v` to `out` under the one float rule every text format here
+/// shares: an integral value below 1e15 in magnitude drops its fraction
+/// (`48`, not `48.0`); anything else uses Rust's shortest round-trip
+/// form. Non-finite values come out in Rust's spelling (`inf`, `NaN`);
+/// a format with its own spelling for them (JSON `null`, exposition
+/// `+Inf`) checks before calling.
+pub fn write_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
 /// Run-level telemetry switches, embedded in a scenario as
 /// `Scenario::telemetry: Option<TelemetryConfig>`.
 ///
