@@ -122,7 +122,7 @@ fn bench_baselines(c: &mut Criterion) {
         })
     });
 
-    let mut gpu_only = GpuOnlyController::new(lay.clone(), 0.44, 0.5).unwrap();
+    let mut gpu_only = SharedClockController::gpu_only(lay.clone(), 0.44, 0.5).unwrap();
     group.bench_function("gpu_only", |b| {
         b.iter(|| {
             let input = ControlInput {

@@ -666,6 +666,15 @@ impl Scenario {
                         "arrival-rate change requires open-loop arrival_rates".into(),
                     ));
                 }
+                ScheduledChange::ArrivalRate { .. }
+                    if self.serving.is_some() || self.llm.is_some() =>
+                {
+                    return Err(CapGpuError::BadConfig(
+                        "arrival-rate change re-rates pipeline tasks; the serving and llm \
+                         layers replace the pipeline (use a serving burst)"
+                            .into(),
+                    ));
+                }
                 ScheduledChange::ServingBurst { task, factor, .. } => {
                     if self.serving.is_none() && self.llm.is_none() {
                         return Err(CapGpuError::BadConfig(
@@ -860,6 +869,27 @@ mod tests {
             factor: 2.0,
         });
         s.validate().unwrap();
+    }
+
+    /// An arrival-rate change re-rates a pipeline task; the serving and
+    /// LLM layers build no pipeline, so the change is refused there.
+    #[test]
+    fn arrival_rate_change_needs_the_pipeline_plant() {
+        let change = ScheduledChange::ArrivalRate {
+            at_period: 5,
+            task: 0,
+            rate_img_s: 50.0,
+        };
+        let open_loop = |mut s: Scenario| {
+            s.arrival_rates = Some(vec![40.0; s.num_gpus()]);
+            s.with_change(change.clone())
+        };
+        open_loop(Scenario::paper_testbed(1)).validate().unwrap();
+        let err = open_loop(Scenario::serving_testbed(1))
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("serving burst"), "{err}");
+        assert!(open_loop(Scenario::llm_testbed(1)).validate().is_err());
     }
 
     #[test]

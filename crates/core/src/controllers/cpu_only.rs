@@ -1,80 +1,10 @@
-//! CPU-Only baseline (§6.1 baseline 3, after IBM server-level control).
-//!
-//! "CPU-Only retains the proportional control logic of GPU-Only but
-//! actuates only the CPU DVFS knobs … The CPU-Only applies a single
-//! frequency to all the CPU cores of the server." GPUs are left at their
-//! maximum clock (the workload wants them fast; this controller simply
-//! has no GPU authority — which is exactly why it cannot cap a GPU server,
-//! Fig. 3).
+//! Tests of the CPU-Only arm of [`super::SharedClockController`]: one
+//! clock shared by every CPU, the GPUs pinned at their maximum.
 
-use capgpu_control::pid::ProportionalController;
-
-use crate::{CapGpuError, Result};
-
-use super::{ControlInput, DeviceLayout, PowerController};
-
-/// The CPU-Only proportional controller.
-#[derive(Debug)]
-pub struct CpuOnlyController {
-    layout: DeviceLayout,
-    cpu_indices: Vec<usize>,
-    pid: ProportionalController,
-    shared_clock: f64,
-}
-
-impl CpuOnlyController {
-    /// Creates the controller from the summed CPU gain (W/MHz) and the
-    /// desired closed-loop pole.
-    ///
-    /// # Errors
-    /// [`CapGpuError::BadConfig`] without CPUs; pole-placement errors.
-    pub fn new(layout: DeviceLayout, summed_cpu_gain: f64, pole: f64) -> Result<Self> {
-        let cpu_indices = layout.cpu_indices();
-        if cpu_indices.is_empty() {
-            return Err(CapGpuError::BadConfig("CPU-Only needs >= 1 CPU".into()));
-        }
-        let f_min = cpu_indices
-            .iter()
-            .map(|&i| layout.f_min[i])
-            .fold(f64::NEG_INFINITY, f64::max);
-        let f_max = cpu_indices
-            .iter()
-            .map(|&i| layout.f_max[i])
-            .fold(f64::INFINITY, f64::min);
-        let pid = ProportionalController::pole_placed(summed_cpu_gain, pole, f_min, f_max)?;
-        Ok(CpuOnlyController {
-            shared_clock: f_max,
-            layout,
-            cpu_indices,
-            pid,
-        })
-    }
-}
-
-impl PowerController for CpuOnlyController {
-    fn name(&self) -> &str {
-        "CPU-Only"
-    }
-
-    fn control(&mut self, input: &ControlInput<'_>) -> Result<Vec<f64>> {
-        self.shared_clock = self
-            .pid
-            .step(input.measured_power, input.setpoint, self.shared_clock);
-        let mut targets = input.current_targets.to_vec();
-        for &i in &self.cpu_indices {
-            targets[i] = self.shared_clock;
-        }
-        for i in self.layout.gpu_indices() {
-            targets[i] = self.layout.f_max[i];
-        }
-        Ok(targets)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use capgpu_sim::DeviceKind;
+
+    use crate::controllers::{ControlInput, DeviceLayout, PowerController, SharedClockController};
 
     fn layout() -> DeviceLayout {
         DeviceLayout::new(
@@ -104,7 +34,8 @@ mod tests {
 
     #[test]
     fn actuates_cpu_pins_gpus_at_max() {
-        let mut c = CpuOnlyController::new(layout(), 0.05, 0.5).unwrap();
+        let mut c = SharedClockController::cpu_only(layout(), 0.05, 0.5).unwrap();
+        assert_eq!(c.name(), "CPU-Only");
         let t = vec![1500.0, 700.0, 900.0, 1100.0];
         let out = c.control(&input(1000.0, 900.0, &t)).unwrap();
         assert_eq!(out[1], 1350.0);
@@ -118,7 +49,7 @@ mod tests {
         // The central claim of Fig. 3: with GPUs pinned at max, the CPU's
         // range is far too small to reach a 900 W cap on a GPU server.
         let gain = 0.05;
-        let mut c = CpuOnlyController::new(layout(), gain, 0.5).unwrap();
+        let mut c = SharedClockController::cpu_only(layout(), gain, 0.5).unwrap();
         // Plant: GPUs pinned at max draw ~3×250 W, platform 300 W.
         let fixed = 300.0 + 3.0 * 250.0;
         let mut t = vec![2400.0, 1350.0, 1350.0, 1350.0];
@@ -136,6 +67,6 @@ mod tests {
     fn needs_cpus() {
         let gpu_layout =
             DeviceLayout::new(vec![DeviceKind::Gpu], vec![435.0], vec![1350.0]).unwrap();
-        assert!(CpuOnlyController::new(gpu_layout, 0.05, 0.5).is_err());
+        assert!(SharedClockController::cpu_only(gpu_layout, 0.05, 0.5).is_err());
     }
 }

@@ -1,87 +1,10 @@
-//! GPU-Only baseline (§6.1 baseline 2, after OptimML).
-//!
-//! A pole-placed proportional controller that drives total server power by
-//! moving a **single shared GPU clock** applied to every GPU; the CPU is
-//! pinned at its maximum frequency ("the CPU frequency must be set to the
-//! maximum level throughout the process"). Converges cleanly but cannot
-//! differentiate GPUs — the source of its SLO violations in Fig. 8.
+//! Tests of the GPU-Only arm of [`super::SharedClockController`]: one
+//! clock shared by every GPU, the CPU pinned at its maximum.
 
-use capgpu_control::pid::ProportionalController;
-
-use crate::{CapGpuError, Result};
-
-use super::{ControlInput, DeviceLayout, PowerController};
-
-/// The GPU-Only proportional controller.
-#[derive(Debug)]
-pub struct GpuOnlyController {
-    layout: DeviceLayout,
-    gpu_indices: Vec<usize>,
-    pid: ProportionalController,
-    /// The shared GPU clock currently commanded (MHz).
-    shared_clock: f64,
-}
-
-impl GpuOnlyController {
-    /// Creates the controller.
-    ///
-    /// `summed_gpu_gain` is the plant gain seen by the shared knob — the
-    /// sum of all GPUs' W/MHz gains (from system identification);
-    /// `pole ∈ [0, 1)` is placed per §6.1 ("chosen to minimize
-    /// oscillations"; 0.5 is a good default).
-    ///
-    /// # Errors
-    /// [`CapGpuError::BadConfig`] if the layout has no GPUs; propagates
-    /// pole-placement errors.
-    pub fn new(layout: DeviceLayout, summed_gpu_gain: f64, pole: f64) -> Result<Self> {
-        let gpu_indices = layout.gpu_indices();
-        if gpu_indices.is_empty() {
-            return Err(CapGpuError::BadConfig("GPU-Only needs >= 1 GPU".into()));
-        }
-        // All GPUs share one clock: use the tightest common range.
-        let f_min = gpu_indices
-            .iter()
-            .map(|&i| layout.f_min[i])
-            .fold(f64::NEG_INFINITY, f64::max);
-        let f_max = gpu_indices
-            .iter()
-            .map(|&i| layout.f_max[i])
-            .fold(f64::INFINITY, f64::min);
-        let pid = ProportionalController::pole_placed(summed_gpu_gain, pole, f_min, f_max)?;
-        Ok(GpuOnlyController {
-            shared_clock: f_min,
-            layout,
-            gpu_indices,
-            pid,
-        })
-    }
-}
-
-impl PowerController for GpuOnlyController {
-    fn name(&self) -> &str {
-        "GPU-Only"
-    }
-
-    fn control(&mut self, input: &ControlInput<'_>) -> Result<Vec<f64>> {
-        self.shared_clock = self
-            .pid
-            .step(input.measured_power, input.setpoint, self.shared_clock);
-        let mut targets = input.current_targets.to_vec();
-        for &i in &self.gpu_indices {
-            targets[i] = self.shared_clock;
-        }
-        // CPU pinned at max.
-        for i in self.layout.cpu_indices() {
-            targets[i] = self.layout.f_max[i];
-        }
-        Ok(targets)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use capgpu_sim::DeviceKind;
+
+    use crate::controllers::{ControlInput, DeviceLayout, PowerController, SharedClockController};
 
     fn layout() -> DeviceLayout {
         DeviceLayout::new(
@@ -111,7 +34,8 @@ mod tests {
 
     #[test]
     fn all_gpus_share_one_clock_cpu_pinned() {
-        let mut c = GpuOnlyController::new(layout(), 3.0 * 0.1475, 0.5).unwrap();
+        let mut c = SharedClockController::gpu_only(layout(), 3.0 * 0.1475, 0.5).unwrap();
+        assert_eq!(c.name(), "GPU-Only");
         let t = vec![1500.0, 700.0, 900.0, 1100.0];
         let out = c.control(&input(800.0, 900.0, &t)).unwrap();
         assert_eq!(out[0], 2400.0); // CPU pinned at max
@@ -122,7 +46,7 @@ mod tests {
     #[test]
     fn converges_on_linear_plant() {
         let gain = 3.0 * 0.1475;
-        let mut c = GpuOnlyController::new(layout(), gain, 0.5).unwrap();
+        let mut c = SharedClockController::gpu_only(layout(), gain, 0.5).unwrap();
         // Plant: p = 300 + cpu_power(max) + gain · shared_clock.
         let cpu_w = 170.0;
         let mut t = vec![2400.0, 435.0, 435.0, 435.0];
@@ -138,6 +62,6 @@ mod tests {
     fn needs_gpus() {
         let cpu_only_layout =
             DeviceLayout::new(vec![DeviceKind::Cpu], vec![1000.0], vec![2400.0]).unwrap();
-        assert!(GpuOnlyController::new(cpu_only_layout, 0.4, 0.5).is_err());
+        assert!(SharedClockController::gpu_only(cpu_only_layout, 0.4, 0.5).is_err());
     }
 }

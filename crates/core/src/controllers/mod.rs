@@ -9,16 +9,18 @@
 
 mod capgpu_ctrl;
 mod cpu_gpu_split;
+#[cfg(test)]
 mod cpu_only;
 pub mod fixed_step;
+#[cfg(test)]
 mod gpu_only;
+mod shared_clock;
 
 pub use capgpu_ctrl::CapGpuController;
 pub use cpu_gpu_split::CpuGpuSplitController;
-pub use cpu_only::CpuOnlyController;
 pub(crate) use fixed_step::sized_safe_fixed_step;
 pub use fixed_step::{FixedStepController, SafeFixedStepController};
-pub use gpu_only::GpuOnlyController;
+pub use shared_clock::SharedClockController;
 
 use capgpu_control::model::LinearPowerModel;
 use capgpu_sim::DeviceKind;

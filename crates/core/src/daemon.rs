@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use capgpu_backend::{MockBackend, PowerBackend, SimBackend};
 use capgpu_control::model::LinearPowerModel;
-use capgpu_control::sysid::{ExcitationPlan, ScaledModelTracker, SystemIdentifier};
+use capgpu_control::sysid::ScaledModelTracker;
 use capgpu_obs::analyzer::{AnalyzerConfig, HealthAnalyzer, PeriodSample, DETECTORS};
 use capgpu_obs::replay::{write_targets, ReplayState};
 use capgpu_obs::rotate::{JournalWriter, RotationConfig};
@@ -47,19 +47,11 @@ use capgpu_telemetry::journal::{Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 
-use crate::controllers::{
-    sized_safe_fixed_step, CapGpuController, ControlInput, DeviceLayout, PowerController,
-    SafeFixedStepController,
-};
-use crate::runner::period_average;
-use crate::supervisor::{HealthSample, Supervisor, SupervisorConfig, SupervisorTier};
+use crate::control_loop::{self, period_average, RefitPush, Supervision};
+use crate::controllers::{CapGpuController, ControlInput, DeviceLayout};
+use crate::supervisor::{SupervisorConfig, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
-
-/// Relative deadband on the tracked gain scale below which a refit is
-/// not pushed to the controller (mirrors the runner's deadband — see
-/// DESIGN.md §10).
-const SCALE_PUSH_DEADBAND: f64 = 0.05;
 
 // ---------------------------------------------------------------------
 // Minimal TOML subset parser
@@ -582,6 +574,34 @@ struct Metrics {
     health_overall: GaugeId,
 }
 
+/// What identification (or crash recovery) builds: the MPC primary, the
+/// supervised fallback ladder, and — when configured — the streaming
+/// RLS tracker with its refit push gate.
+#[derive(Debug)]
+struct ControlStack {
+    primary: CapGpuController,
+    supervision: Supervision,
+    tracker: Option<ScaledModelTracker>,
+    push: RefitPush,
+}
+
+impl ControlStack {
+    fn new(
+        cfg: &DaemonConfig,
+        layout: &DeviceLayout,
+        model: &LinearPowerModel,
+        meter_noise_std: f64,
+        tracker: Option<ScaledModelTracker>,
+    ) -> Result<Self> {
+        Ok(ControlStack {
+            primary: CapGpuController::new(layout, model.clone(), WeightAssigner::default())?,
+            supervision: Supervision::new(cfg.supervisor, layout, model.gains(), meter_noise_std)?,
+            tracker,
+            push: RefitPush::default(),
+        })
+    }
+}
+
 /// The live-serving control daemon: the paper's control loop over a
 /// boxed [`PowerBackend`].
 ///
@@ -593,12 +613,9 @@ pub struct Daemon {
     cfg: DaemonConfig,
     backend: Box<dyn PowerBackend>,
     layout: DeviceLayout,
-    primary: Option<CapGpuController>,
-    fallback: Option<SafeFixedStepController>,
-    supervisor: Option<Supervisor>,
-    tracker: Option<ScaledModelTracker>,
-    /// Gain scale last pushed to the primary controller.
-    pushed_scale: f64,
+    /// The control stack; `None` until [`Daemon::identify`] or
+    /// [`Daemon::recover`] builds it.
+    stack: Option<ControlStack>,
     monitors: Vec<ThroughputMonitor>,
     journal: Journal,
     /// Rotating durable journal (crash-recovery replay source), when
@@ -608,6 +625,8 @@ pub struct Daemon {
     analyzer: HealthAnalyzer,
     /// Last published quarantine flags (for edge-triggered journaling).
     prev_quarantined: Vec<bool>,
+    /// The supervisor's quarantine flags after this period's decision.
+    quarantined_buf: Vec<bool>,
     registry: Registry,
     metrics: Metrics,
     period: u64,
@@ -622,7 +641,6 @@ pub struct Daemon {
     // Scratch buffers (the period loop is allocation-light).
     throughput_buf: Vec<f64>,
     device_power_buf: Vec<f64>,
-    ejected_buf: Vec<bool>,
     /// The `targets` field of the next `period` record.
     targets_buf: String,
     /// The JSON line of the record being journaled.
@@ -740,16 +758,13 @@ impl Daemon {
             cfg,
             backend,
             layout,
-            primary: None,
-            fallback: None,
-            supervisor: None,
-            tracker: None,
-            pushed_scale: 1.0,
+            stack: None,
             monitors: (0..n).map(|_| ThroughputMonitor::new(0.5)).collect(),
             journal: Journal::new(),
             writer,
             analyzer,
             prev_quarantined: vec![false; n],
+            quarantined_buf: vec![false; n],
             registry,
             metrics,
             period: 0,
@@ -761,11 +776,16 @@ impl Daemon {
             setpoint_watts,
             throughput_buf: Vec::with_capacity(n),
             device_power_buf: vec![0.0; n],
-            ejected_buf: vec![false; n],
             targets_buf: String::new(),
             line_buf: String::new(),
             exposition_len: Cell::new(0),
         })
+    }
+
+    /// A journal event of `kind` stamped with the current period, sim
+    /// clock and (when the backend has one) wall clock.
+    fn event(&self, kind: &'static str) -> Event {
+        Event::new(self.period, self.sim_time_s, kind).wall_ms(self.backend.wall_clock_unix_ms())
     }
 
     /// Journals an event: always in memory, and appended (flushed) to
@@ -792,106 +812,58 @@ impl Daemon {
     /// # Errors
     /// Propagates excitation, backend, and fitting errors.
     pub fn identify(&mut self) -> Result<()> {
-        let frac = self.cfg.sysid_hold_fraction;
-        let hold: Vec<f64> = self
-            .layout
-            .f_min
-            .iter()
-            .zip(self.layout.f_max.iter())
-            .map(|(lo, hi)| lo + frac * (hi - lo))
-            .collect();
-        let plan = ExcitationPlan::new(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-            hold,
-            self.cfg.sysid_steps_per_device,
-        )
-        .map_err(CapGpuError::Control)?;
-        let mut ident = SystemIdentifier::new(self.layout.len());
-        let mut rows: Vec<(Vec<f64>, f64)> = Vec::new();
-        for point in plan.points() {
-            self.backend.set_frequencies(&point)?;
-            self.backend.effective_frequencies_into(&mut self.applied)?;
-            let mut power_sum = 0.0;
-            let mut samples = 0u32;
-            for _ in 0..self.cfg.control_period_s {
-                self.sim_time_s += 1.0;
-                if let Some(p) = self.backend.advance(1.0)? {
-                    power_sum += p;
-                    samples += 1;
-                }
-            }
-            if samples > 0 {
-                let p_mean = power_sum / f64::from(samples);
-                ident.record(&self.applied, p_mean);
-                rows.push((self.applied.clone(), p_mean));
-            }
-        }
-        let fitted = ident.fit().map_err(CapGpuError::Control)?;
-        let model = fitted.model;
-        let gains = model.gains().to_vec();
-        self.primary = Some(CapGpuController::new(
+        let sim_time_s = &mut self.sim_time_s;
+        let id = control_loop::identify(
+            &mut *self.backend,
             &self.layout,
-            model.clone(),
-            WeightAssigner::default(),
+            self.cfg.sysid_hold_fraction,
+            self.cfg.sysid_steps_per_device,
+            self.cfg.control_period_s as usize,
+            self.cfg.rls_forgetting,
+            |backend, _| {
+                *sim_time_s += 1.0;
+                Ok(backend.advance(1.0)?)
+            },
+        )?;
+        let model = id.fitted.model;
+        self.stack = Some(ControlStack::new(
+            &self.cfg,
+            &self.layout,
+            &model,
+            self.backend.meter_noise_std(),
+            id.tracker,
         )?);
-        self.fallback = Some(self.build_fallback(&model));
-        self.supervisor = Some(Supervisor::new(
-            self.cfg.supervisor,
-            gains,
-            self.layout.len(),
-        )?);
-        if let Some(forgetting) = self.cfg.rls_forgetting {
-            let mut tracker =
-                ScaledModelTracker::new(model.clone(), forgetting).map_err(CapGpuError::Control)?;
-            for (row, p_mean) in &rows {
-                tracker.record(row, *p_mean);
-            }
-            self.tracker = Some(tracker);
-        }
-        self.pushed_scale = 1.0;
-        self.targets = self.applied.clone();
+        self.targets.clone_from(&id.applied);
+        self.applied = id.applied;
         // Per-device base gains, journaled individually so
         // crash-recovery replay can rebuild the exact model (field keys
         // are static; per-device data gets per-device events).
         for d in 0..self.layout.len() {
             self.record(
-                Event::new(self.period, self.sim_time_s, "model_gain")
-                    .wall_ms(self.backend.wall_clock_unix_ms())
+                self.event("model_gain")
                     .u64("device", d as u64)
                     .f64("w_per_mhz", model.gains()[d]),
             );
         }
         self.record(
-            Event::new(self.period, self.sim_time_s, "identified")
-                .wall_ms(self.backend.wall_clock_unix_ms())
-                .u64("points", plan.len() as u64)
+            self.event("identified")
+                .u64("points", id.points as u64)
                 .f64("offset_w", model.offset())
-                .f64("r_squared", fitted.r_squared),
+                .f64("r_squared", id.fitted.r_squared),
         );
         Ok(())
     }
 
-    /// Safe fixed-step fallback, sized like the runner's at step 1.
-    fn build_fallback(&self, model: &LinearPowerModel) -> SafeFixedStepController {
-        sized_safe_fixed_step(
-            &self.layout,
-            model.gains(),
-            1,
-            self.backend.meter_noise_std(),
-        )
-    }
-
-    /// Executes one control period: advance the plant, sense, consult
-    /// the supervisor, run the acting controller, actuate.
+    /// Executes one control period: advance the plant, sense, run the
+    /// shared supervised decision, actuate, refit, journal.
     ///
     /// # Errors
     /// [`CapGpuError::BadConfig`] before [`Daemon::identify`];
     /// backend/controller errors propagate.
     pub fn step_period(&mut self) -> Result<PeriodReport> {
-        if self.supervisor.is_none() {
+        let Some(stack) = self.stack.as_mut() else {
             return Err(bad("daemon: step_period before identify".into()));
-        }
+        };
         // -- sense: advance one period, one second at a time ----------
         let mut fresh = 0usize;
         for _ in 0..self.cfg.control_period_s {
@@ -903,68 +875,9 @@ impl Daemon {
         let (avg, meter_stale) = period_average(&*self.backend, fresh, self.last_avg_watts);
         self.last_avg_watts = avg;
         if !meter_stale {
-            if let Some(tracker) = self.tracker.as_mut() {
+            if let Some(tracker) = stack.tracker.as_mut() {
                 tracker.record(&self.applied, avg);
             }
-        }
-        // -- supervise ------------------------------------------------
-        for (i, e) in self.ejected_buf.iter_mut().enumerate() {
-            *e = self.backend.is_ejected(i);
-        }
-        let directive = {
-            let obs = HealthSample {
-                fresh_samples: fresh,
-                meter_age_s: self.backend.seconds_since_sample(),
-                avg_power: avg,
-                setpoint: self.setpoint_watts,
-                psu_limit: self.backend.psu_limit(),
-                applied_mean: &self.applied,
-                ejected: &self.ejected_buf,
-            };
-            self.supervisor.as_mut().expect("checked above").step(&obs)
-        };
-        if directive.tier != self.last_tier {
-            let reason = if directive.stale_periods > 0 {
-                "stale_meter"
-            } else if directive.authority_lost {
-                "authority_lost"
-            } else {
-                "recovered"
-            };
-            self.record(
-                Event::new(self.period, self.sim_time_s, "tier_change")
-                    .wall_ms(self.backend.wall_clock_unix_ms())
-                    .u64("from", self.last_tier.as_u8() as u64)
-                    .u64("to", directive.tier.as_u8() as u64)
-                    .str("reason", reason),
-            );
-            self.registry.inc(self.metrics.tier_changes, 1);
-            self.last_tier = directive.tier;
-        }
-        // Quarantine edges (enter/leave), journaled so replay can
-        // re-derive the quarantine set. Allocation-free when nothing
-        // changed (the common case).
-        let mut q_edges: Vec<(usize, bool)> = Vec::new();
-        {
-            let q = self
-                .supervisor
-                .as_ref()
-                .expect("checked above")
-                .quarantined();
-            for (d, (&now, &was)) in q.iter().zip(self.prev_quarantined.iter()).enumerate() {
-                if now != was {
-                    q_edges.push((d, now));
-                }
-            }
-        }
-        for (d, on) in q_edges {
-            self.prev_quarantined[d] = on;
-            self.record(
-                Event::new(self.period, self.sim_time_s, "quarantine")
-                    .wall_ms(self.backend.wall_clock_unix_ms())
-                    .u64("device", d as u64)
-                    .bool("on", on),
-            );
         }
         // -- observe throughput and per-device power ------------------
         let caps = self.backend.capabilities();
@@ -985,29 +898,27 @@ impl Daemon {
         } else {
             self.device_power_buf.iter_mut().for_each(|p| *p = 0.0);
         }
-        // -- control --------------------------------------------------
+        // -- supervise + control --------------------------------------
         let input = ControlInput {
             measured_power: avg,
-            setpoint: directive.effective_setpoint,
+            setpoint: self.setpoint_watts,
             current_targets: &self.targets,
             normalized_throughput: &normalized,
             device_power: &self.device_power_buf,
             floors: &self.layout.f_min,
             phase_mix: None,
         };
-        let targets = match directive.tier {
-            SupervisorTier::Primary => self
-                .primary
-                .as_mut()
-                .expect("identify built the primary")
-                .control(&input)?,
-            SupervisorTier::SafeFallback => self
-                .fallback
-                .as_mut()
-                .expect("identify built the fallback")
-                .control(&input)?,
-            SupervisorTier::Park => self.layout.f_min.clone(),
-        };
+        let (targets, directive) = control_loop::decide(
+            Some(&mut stack.supervision),
+            &mut stack.primary,
+            &*self.backend,
+            &self.layout,
+            fresh,
+            &self.applied,
+            &input,
+        )?;
+        self.quarantined_buf
+            .copy_from_slice(stack.supervision.supervisor.quarantined());
         // Summed commanded move and bound saturation, for the journal
         // and the oscillation/saturation detectors.
         let delta_f_mhz: f64 = targets
@@ -1024,34 +935,60 @@ impl Daemon {
         self.targets = targets;
         // -- streaming refit (primary only: the fallback and park are
         //    model-free by design) ------------------------------------
+        let mut refit = None;
         if fresh > 0 && directive.tier == SupervisorTier::Primary {
-            if let Some(tracker) = self.tracker.as_ref() {
-                if let Ok((model, scale)) = tracker.fit() {
-                    if (scale - self.pushed_scale).abs() > SCALE_PUSH_DEADBAND * self.pushed_scale {
-                        self.primary
-                            .as_mut()
-                            .expect("identify built the primary")
-                            .set_power_model(&model)?;
-                        self.pushed_scale = scale;
-                        self.registry.inc(self.metrics.refits, 1);
-                        // scale + offset pin the pushed model exactly
-                        // (gains = journaled base gains × scale), which
-                        // is what makes crash-recovery replay bit-exact.
-                        let ev = Event::new(self.period, self.sim_time_s, "refit")
-                            .wall_ms(self.backend.wall_clock_unix_ms())
-                            .f64("scale", scale)
-                            .f64("offset_w", model.offset());
-                        self.record(ev);
-                    }
+            if let Some(Ok((model, scale))) = stack.tracker.as_ref().map(|t| t.fit()) {
+                if stack.push.offer(&mut stack.primary, &model, scale)? {
+                    refit = Some((scale, model.offset()));
                 }
             }
         }
         // -- journal + metrics ----------------------------------------
+        if directive.tier != self.last_tier {
+            let reason = if directive.stale_periods > 0 {
+                "stale_meter"
+            } else if directive.authority_lost {
+                "authority_lost"
+            } else {
+                "recovered"
+            };
+            self.record(
+                self.event("tier_change")
+                    .u64("from", self.last_tier.as_u8() as u64)
+                    .u64("to", directive.tier.as_u8() as u64)
+                    .str("reason", reason),
+            );
+            self.registry.inc(self.metrics.tier_changes, 1);
+            self.last_tier = directive.tier;
+        }
+        // Quarantine edges (enter/leave), journaled so replay can
+        // re-derive the quarantine set.
+        for d in 0..self.quarantined_buf.len() {
+            let on = self.quarantined_buf[d];
+            if on != self.prev_quarantined[d] {
+                self.prev_quarantined[d] = on;
+                self.record(
+                    self.event("quarantine")
+                        .u64("device", d as u64)
+                        .bool("on", on),
+                );
+            }
+        }
+        if let Some((scale, offset_w)) = refit {
+            self.registry.inc(self.metrics.refits, 1);
+            // scale + offset pin the pushed model exactly (gains =
+            // journaled base gains × scale), which is what makes
+            // crash-recovery replay bit-exact.
+            self.record(
+                self.event("refit")
+                    .f64("scale", scale)
+                    .f64("offset_w", offset_w),
+            );
+        }
         self.targets_buf.clear();
         write_targets(&mut self.targets_buf, &self.targets);
         self.record(
-            Event::new(self.period, self.sim_time_s, "period")
-                .wall_ms(self.backend.wall_clock_unix_ms())
+            self.event("period")
                 .u64("tier", directive.tier.as_u8() as u64)
                 .f64("watts", avg)
                 .f64("setpoint", directive.effective_setpoint)
@@ -1072,8 +1009,7 @@ impl Daemon {
         let edges = self.analyzer.observe(&sample);
         for e in &edges {
             self.record(
-                Event::new(self.period, self.sim_time_s, "health")
-                    .wall_ms(self.backend.wall_clock_unix_ms())
+                self.event("health")
                     .str("detector", e.detector)
                     .str("from", e.from.label())
                     .str("to", e.to.label()),
@@ -1133,8 +1069,7 @@ impl Daemon {
         let old = self.setpoint_watts;
         self.setpoint_watts = watts;
         self.record(
-            Event::new(self.period, self.sim_time_s, "setpoint_change")
-                .wall_ms(self.backend.wall_clock_unix_ms())
+            self.event("setpoint_change")
                 .f64("from_w", old)
                 .f64("to_w", watts),
         );
@@ -1243,29 +1178,30 @@ impl Daemon {
                 self.layout.len()
             )));
         }
-        let model = LinearPowerModel::new(gains.clone(), offset).map_err(CapGpuError::Control)?;
-        self.primary = Some(CapGpuController::new(
+        let model = LinearPowerModel::new(gains, offset)?;
+        // Tracker re-anchored at the recovered model: its scale is now
+        // relative to the *recovered* gains, so the push deadband
+        // restarts from 1.
+        let tracker = (self.cfg.rls_forgetting)
+            .map(|forgetting| ScaledModelTracker::new(model.clone(), forgetting))
+            .transpose()?;
+        let mut stack = ControlStack::new(
+            &self.cfg,
             &self.layout,
-            model.clone(),
-            WeightAssigner::default(),
-        )?);
-        self.fallback = Some(self.build_fallback(&model));
-        let mut supervisor = Supervisor::new(self.cfg.supervisor, gains, self.layout.len())?;
+            &model,
+            self.backend.meter_noise_std(),
+            tracker,
+        )?;
         let tier = SupervisorTier::from_u8(state.tier_or_primary() as u8);
-        supervisor.restore(tier, &state.quarantined);
-        self.supervisor = Some(supervisor);
+        stack
+            .supervision
+            .supervisor
+            .restore(tier, &state.quarantined);
+        self.stack = Some(stack);
         self.last_tier = tier;
         for (d, q) in self.prev_quarantined.iter_mut().enumerate() {
             *q = state.quarantined.contains(&d);
         }
-        if let Some(forgetting) = self.cfg.rls_forgetting {
-            // Tracker re-anchored at the recovered model: its scale is
-            // now relative to the *recovered* gains, so push deadband
-            // restarts from 1.
-            self.tracker =
-                Some(ScaledModelTracker::new(model, forgetting).map_err(CapGpuError::Control)?);
-        }
-        self.pushed_scale = 1.0;
         if let Some(cap) = state.cap_w {
             self.setpoint_watts = cap;
         }
@@ -1278,8 +1214,7 @@ impl Daemon {
         self.sim_time_s = state.last_t_s.unwrap_or(0.0);
         let replayed: u64 = state.kind_counts.iter().map(|(_, n)| n).sum();
         self.record(
-            Event::new(self.period, self.sim_time_s, "recovered")
-                .wall_ms(self.backend.wall_clock_unix_ms())
+            self.event("recovered")
                 .u64("tier", u64::from(tier.as_u8()))
                 .u64("records", replayed),
         );
@@ -1855,6 +1790,42 @@ stale_park_periods = 3
             assert!(same(&d));
         }
         assert_eq!(d.tier(), SupervisorTier::Primary);
+    }
+
+    /// A re-admitted GPU is pinned at its hardware floor for every
+    /// period the supervisor holds it in quarantine, and moves again
+    /// once released.
+    #[test]
+    fn quarantined_device_is_pinned_at_its_floor() {
+        let mut d = mock_daemon();
+        d.run_periods(3).unwrap();
+        let f_min = d.backend().devices()[1].f_min_mhz;
+        let fault = FaultKind::Ejected { device: 1 };
+        mock(&mut d).apply_fault(&fault).unwrap();
+        let mut reports = d.run_periods(2).unwrap();
+        mock(&mut d).clear_fault(&fault).unwrap();
+        let mut quarantined = vec![d.prev_quarantined[1]; 2];
+        for _ in 0..16 {
+            reports.push(d.step_period().unwrap());
+            quarantined.push(d.prev_quarantined[1]);
+        }
+        let held = quarantined.iter().filter(|q| **q).count();
+        assert!(
+            held > 2,
+            "quarantine outlived the ejection: {quarantined:?}"
+        );
+        for (r, q) in reports.iter().zip(&quarantined) {
+            if *q {
+                assert_eq!(r.targets_mhz[1], f_min, "period {}", r.period);
+            }
+        }
+        let released = quarantined.iter().rposition(|q| *q).unwrap() + 1;
+        assert!(released < reports.len(), "never released: {quarantined:?}");
+        assert!(
+            reports[released..].iter().any(|r| r.targets_mhz[1] > f_min),
+            "GPU 1 stayed at its floor after release"
+        );
+        assert_eq!(d.journal().of_kind("quarantine").count(), 2);
     }
 
     /// An ∞ meter sample reaches the power gauge; the exposition must

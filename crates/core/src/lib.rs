@@ -11,13 +11,19 @@
 //! ```text
 //!  ┌──────────────────────────── ExperimentRunner ───────────────────────────┐
 //!  │  every second:   delta-sigma modulators → Server.set_all_frequencies    │
-//!  │                  PipelineSim × N_gpu  → per-device utilization          │
+//!  │                  TaskPlant × N_gpu    → per-device utilization          │
+//!  │                  (pipeline | serving engine | LLM engine)               │
 //!  │                  Server.tick_second   → 1 Hz power-meter sample         │
 //!  │  every period T: meter.average_last(T) ┐                                │
 //!  │                  throughput monitors   ├→ PowerController.control()     │
 //!  │                  SLO frequency floors  ┘        (CapGPU or baseline)    │
 //!  └──────────────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The runner and the [`daemon`] share one supervised control core
+//! (`control_loop`): the identification sweep, the supervisor with its
+//! safe fallback, and the Primary/Fallback/Park decision with the
+//! quarantine pin.
 //!
 //! ## Controllers
 //!
@@ -26,10 +32,10 @@
 //!   throughputs + per-GPU SLO frequency floors.
 //! * [`controllers::FixedStepController`] / `SafeFixedStepController` —
 //!   heuristic ±1-step baselines (§6.1 baseline 1).
-//! * [`controllers::GpuOnlyController`] — pole-placed P control of a
-//!   single shared GPU clock (§6.1 baseline 2, after OptimML).
-//! * [`controllers::CpuOnlyController`] — pole-placed P control of the CPU
-//!   DVFS knob (§6.1 baseline 3, after IBM server-level power control).
+//! * [`controllers::SharedClockController`] — pole-placed P control of
+//!   one clock shared by every device of a kind: GPU-Only (§6.1
+//!   baseline 2, after OptimML) and CPU-Only (§6.1 baseline 3, after IBM
+//!   server-level power control).
 //! * [`controllers::CpuGpuSplitController`] — two independent loops with a
 //!   fixed budget split (§6.1 baseline 4, after PowerCoord).
 //!
@@ -49,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod control_loop;
 pub mod controllers;
 pub mod daemon;
 pub mod export;
@@ -63,8 +70,8 @@ pub mod weights;
 pub mod prelude {
     pub use crate::config::{RlsTracking, Scenario, ScheduledChange, ServingConfig};
     pub use crate::controllers::{
-        CapGpuController, CpuGpuSplitController, CpuOnlyController, FixedStepController,
-        GpuOnlyController, PowerController, SafeFixedStepController,
+        CapGpuController, CpuGpuSplitController, FixedStepController, PowerController,
+        SafeFixedStepController, SharedClockController,
     };
     pub use crate::daemon::{
         ConfigWatcher, Daemon, DaemonConfig, MetricsServer, PeriodReport, ReloadSignal,

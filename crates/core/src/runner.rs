@@ -11,26 +11,25 @@ use capgpu_backend::{PowerBackend, SimBackend};
 use capgpu_control::latency::LatencyModel;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::DeltaSigmaModulator;
-use capgpu_control::sysid::{
-    ExcitationPlan, IdentifiedModel, ScaledModelTracker, SystemIdentifier,
-};
+use capgpu_control::sysid::{IdentifiedModel, ScaledModelTracker};
 use capgpu_llm::LlmEngine;
 use capgpu_serve::{ArrivalGen, ServeEngine, ServeWindowStats, ServiceModel};
-use capgpu_sim::{Server, ServerBuilder};
+use capgpu_sim::{DeviceKind, Server, ServerBuilder};
 use capgpu_workload::featsel::FeatselRateModel;
-use capgpu_workload::monitor::ThroughputMonitor;
+use capgpu_workload::models::ModelProfile;
+use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 use capgpu_workload::pipeline::{ArrivalMode, PipelineConfig, PipelineSim, WindowStats};
 use capgpu_workload::slo::SloTracker;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{Scenario, ScheduledChange};
+use crate::control_loop::{self, period_average, RefitPush, Supervision};
 use crate::controllers::{
-    sized_safe_fixed_step, CapGpuController, ControlInput, CpuGpuSplitController,
-    CpuOnlyController, DeviceLayout, FixedStepController, GpuOnlyController, PowerController,
-    SafeFixedStepController,
+    sized_safe_fixed_step, CapGpuController, ControlInput, CpuGpuSplitController, DeviceLayout,
+    FixedStepController, PowerController, SafeFixedStepController, SharedClockController,
 };
-use crate::supervisor::{HealthSample, Supervisor, SupervisorTier};
+use crate::supervisor::SupervisorTier;
 use crate::telemetry::{PeriodObservation, Phase, RunTelemetry, TelemetryReport};
 use crate::weights::{PhaseMix, WeightAssigner};
 use crate::{CapGpuError, Result};
@@ -185,8 +184,8 @@ impl RunTrace {
 
 /// The runner.
 ///
-/// `Clone` snapshots the complete closed-loop state — server, pipelines,
-/// monitors, RNGs and the cached identified model. Because every
+/// `Clone` snapshots the complete closed-loop state — server, task
+/// plants, monitors, RNGs and the cached identified model. Because every
 /// stochastic component is seeded, a clone replays the exact same
 /// trajectory as its original: the sweep engine identifies once per
 /// (scenario, seed) class and clones the post-identification runner for
@@ -200,12 +199,13 @@ pub struct ExperimentRunner {
     /// (fault injection, thermal state, workload coupling) goes through
     /// [`SimBackend::server`] / [`SimBackend::server_mut`].
     backend: SimBackend,
+    /// The workload side of the plant: one [`GpuTask`] per GPU plus the
+    /// latency trackers, advanced one second at a time beside the
+    /// backend.
+    workload: Workload,
     layout: DeviceLayout,
-    pipelines: Vec<PipelineSim>,
-    gpu_device_indices: Vec<usize>,
     featsel: FeatselRateModel,
     monitors: Vec<ThroughputMonitor>,
-    slo_tracker: SloTracker,
     latency_models: Vec<LatencyModel>,
     modulators: Vec<DeltaSigmaModulator>,
     setpoint: f64,
@@ -218,58 +218,258 @@ pub struct ExperimentRunner {
     /// enables `rls_tracking` (anchored to the startup identification by
     /// [`ExperimentRunner::identify`]).
     tracker: Option<ScaledModelTracker>,
-    /// Per-task aggregates for the period currently being simulated.
-    second_stats: Vec<TaskPeriodStats>,
-    /// Utilizations of the most recent simulated second.
-    last_utils: Vec<f64>,
     /// Whether the §4.4 memory-throttle escape is currently engaged.
     mem_escape_active: bool,
-    /// Index of the (single) CPU package device.
-    cpu_device_index: usize,
-    /// Recycled per-window pipeline statistics (hot-path scratch).
-    scratch_stats: WindowStats,
-    /// Request-level serving engines, one per GPU task; empty when the
-    /// scenario's serving layer is disabled. When present they replace
-    /// the pipeline model as the GPU-side plant: busy fraction drives
-    /// utilization, per-request completions drive the SLO tracker.
-    serve_engines: Vec<ServeEngine>,
-    /// Two-phase LLM serving engines, one per GPU task; empty when the
-    /// scenario's LLM layer is disabled. When present they replace the
-    /// pipeline model as the GPU-side plant, and additionally feed the
-    /// controller a per-device [`PhaseMix`] signal each period.
-    llm_engines: Vec<LlmEngine>,
-    /// Recycled per-window serving statistics (hot-path scratch, shared
-    /// by the one-shot and LLM serving plants).
-    serve_scratch: ServeWindowStats,
-    /// Measured time-to-first-token tracker (LLM mode only; empty
-    /// task list otherwise).
-    ttft_tracker: SloTracker,
-    /// Measured inter-token-latency tracker (LLM mode only).
-    itl_tracker: SloTracker,
-    /// Per-task phase aggregates for the period being simulated.
-    phase_stats: Vec<PhasePeriodStats>,
     /// Run telemetry (registry + journal + spans); `None` — recording
     /// nothing and touching nothing — unless the scenario opts in.
     telemetry: Option<RunTelemetry>,
 }
 
-/// One control period's measured power from its `fresh` meter samples.
-///
-/// Averaging the last `period` samples unconditionally would silently
-/// blend pre-dropout samples still in the ring buffer into a "fresh"
-/// reading; instead a partial-dropout period averages only what the meter
-/// actually produced this period, and a fully silent period holds `last`
-/// and is flagged stale (`true`) — the supervisor's staleness watchdog
-/// keys on exactly this. The runner and the daemon both measure this way.
-pub(crate) fn period_average<B: PowerBackend + ?Sized>(
-    backend: &B,
-    fresh: usize,
-    last: f64,
-) -> (f64, bool) {
-    if fresh > 0 {
-        (backend.average_power(fresh).unwrap_or(last), false)
-    } else {
-        (last, true)
+/// What serves one GPU task's requests.
+#[derive(Debug, Clone)]
+enum TaskPlant {
+    /// The paper's period-level pipeline model: preprocessing workers
+    /// feed a batched inference queue.
+    Pipeline(PipelineSim),
+    /// The request-level serving engine (`capgpu-serve`): busy fraction
+    /// drives utilization, per-request completions drive the SLO
+    /// tracker.
+    Serve(ServeEngine),
+    /// The two-phase LLM engine (`capgpu-llm`): prefill busy time counts
+    /// at `prefill_util`, memory-bound decode at `decode_util` — why
+    /// capping a decode-bound device recovers so little power.
+    Llm {
+        engine: Box<LlmEngine>,
+        prefill_util: f64,
+        decode_util: f64,
+    },
+}
+
+impl TaskPlant {
+    /// Scales a serving plant's request arrival intensity relative to
+    /// its nominal rate.
+    fn set_intensity_scale(&mut self, scale: f64) -> Result<()> {
+        match self {
+            TaskPlant::Pipeline(_) => Err(CapGpuError::BadConfig(
+                "serving intensity scale without the serving layer".into(),
+            )),
+            TaskPlant::Serve(engine) => Ok(engine.set_intensity_scale(scale)?),
+            TaskPlant::Llm { engine, .. } => Ok(engine.set_intensity_scale(scale)?),
+        }
+    }
+}
+
+/// One GPU task: the device it runs on, its model, its plant and the
+/// aggregates of the control period being simulated.
+#[derive(Debug, Clone)]
+struct GpuTask {
+    device: usize,
+    model: ModelProfile,
+    plant: TaskPlant,
+    period: TaskPeriodStats,
+}
+
+impl GpuTask {
+    /// The period's throughput signal: tokens/s under LLM serving
+    /// (decode emits tokens continuously even when whole-request
+    /// completions are lumpy), completions/s otherwise.
+    fn throughput(&self, seconds: f64) -> f64 {
+        match self.plant {
+            TaskPlant::Llm { .. } => self.period.tokens as f64 / seconds,
+            _ => self.period.completed as f64 / seconds,
+        }
+    }
+
+    /// Mean recorded latency over the period (per batch for pipelines,
+    /// per request for serving plants); 0 when nothing was recorded.
+    fn mean_latency(&self) -> f64 {
+        let p = &self.period;
+        if p.latencies > 0 {
+            p.latency_sum / p.latencies as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// The period's phase mix (LLM tasks only): busy-time prefill share,
+    /// end-of-period KV occupancy and token rate.
+    fn phase_mix(&self, seconds: f64) -> Option<PhaseMix> {
+        let TaskPlant::Llm { .. } = self.plant else {
+            return None;
+        };
+        let p = &self.period;
+        let busy = p.prefill_busy_s + p.decode_busy_s;
+        Some(PhaseMix {
+            prefill_share: if busy > 0.0 {
+                (p.prefill_busy_s / busy).clamp(0.0, 1.0)
+            } else {
+                1.0
+            },
+            kv_occupancy: p.kv_occupancy_end,
+            tokens_per_s: p.tokens as f64 / seconds,
+        })
+    }
+}
+
+/// The workload side of the simulated plant, advanced one second at a
+/// time by [`Workload::second`].
+#[derive(Debug, Clone)]
+struct Workload {
+    tasks: Vec<GpuTask>,
+    /// Index of the (single) CPU package device.
+    cpu_device: usize,
+    /// Preprocessing workers per task.
+    workers: usize,
+    slo_tracker: SloTracker,
+    /// Measured time-to-first-token tracker (LLM mode only; a one-task
+    /// placeholder otherwise).
+    ttft_tracker: SloTracker,
+    /// Measured inter-token-latency tracker (LLM mode only).
+    itl_tracker: SloTracker,
+    /// Recycled per-window pipeline statistics (hot-path scratch).
+    window: WindowStats,
+    /// Recycled per-window serving statistics (hot-path scratch, shared
+    /// by the one-shot and LLM serving plants).
+    serve_window: ServeWindowStats,
+    /// Per-device utilizations staged for the current second.
+    utils: Vec<f64>,
+}
+
+impl Workload {
+    /// Whether the tasks are served by the two-phase LLM engine.
+    fn is_llm(&self) -> bool {
+        matches!(self.tasks[0].plant, TaskPlant::Llm { .. })
+    }
+
+    /// SLO misses recorded so far for task `i`.
+    fn slo_misses(&self, i: usize) -> usize {
+        (self.slo_tracker.miss_rate(i) * self.slo_tracker.latencies(i).len() as f64).round()
+            as usize
+    }
+
+    /// Advances one simulated second at the given applied frequencies
+    /// and returns the meter sample, if the meter produced one: steps
+    /// every task's plant, records latencies and period aggregates,
+    /// stages the resulting utilizations and ticks the server. With
+    /// `queue_delays` the pipelines' per-image queue delays are
+    /// collected per task (serving plants fold them into request
+    /// latencies).
+    ///
+    /// All per-second state lives in recycled buffers (`utils`,
+    /// `window`, `serve_window`): this function performs no heap
+    /// allocation.
+    fn second(
+        &mut self,
+        backend: &mut SimBackend,
+        applied: &[f64],
+        mut telemetry: Option<&mut RunTelemetry>,
+        mut queue_delays: Option<&mut Vec<Vec<f64>>>,
+    ) -> Result<Option<f64>> {
+        let f_cpu = applied[self.cpu_device];
+        self.utils.iter_mut().for_each(|u| *u = 0.0);
+        let serving = !matches!(self.tasks[0].plant, TaskPlant::Pipeline(_));
+        if serving {
+            if let Some(tm) = telemetry.as_deref_mut() {
+                tm.span_enter(Phase::ServeDrain);
+            }
+        }
+        let mut worker_util_sum = 0.0;
+        for (i, task) in self.tasks.iter_mut().enumerate() {
+            let dev = task.device;
+            // An ejected device does no work and draws no power; its
+            // plant is frozen until re-admission.
+            if backend.is_ejected(dev) {
+                continue;
+            }
+            // An engaged memory throttle slows inference: model it as
+            // an effective core-clock derating in the latency law.
+            let f_eff = match (
+                backend.server().device(dev)?.mem_throttle,
+                backend.server().memory_throttled(dev)?,
+            ) {
+                (Some(mt), true) => applied[dev] / mt.latency_penalty,
+                _ => applied[dev],
+            };
+            // Serving plants' preprocessing (or tokenization) tracks the
+            // admitted request stream: each admitted request costs one
+            // worker `preprocess_time`.
+            let workers = self.workers.max(1) as f64;
+            let preprocess = |s: &ServeWindowStats| {
+                ((s.arrivals - s.dropped) as f64 * task.model.preprocess_time(f_cpu) / workers)
+                    .clamp(0.0, 1.0)
+            };
+            let p = &mut task.period;
+            let (gpu_util, worker_util, latencies) = match &mut task.plant {
+                TaskPlant::Pipeline(pipe) => {
+                    let st = &mut self.window;
+                    pipe.advance_into(1.0, f_cpu, f_eff, st);
+                    if let Some(qd) = queue_delays.as_deref_mut() {
+                        qd[i].extend_from_slice(&st.queue_delays);
+                    }
+                    p.completed += st.images_completed;
+                    p.batches += st.batch_latencies.len();
+                    (st.gpu_util, st.cpu_worker_util, &st.batch_latencies)
+                }
+                TaskPlant::Serve(engine) => {
+                    let st = &mut self.serve_window;
+                    engine.advance_into(1.0, f_eff, st);
+                    if let Some(tm) = telemetry.as_deref_mut() {
+                        tm.on_serve_second(i, st, engine.queue_len());
+                    }
+                    p.completed += st.completions;
+                    p.batches += st.batches;
+                    let util = st.busy_fraction * task.model.gpu_util_busy;
+                    (util.clamp(0.0, 1.0), preprocess(st), &st.request_latencies)
+                }
+                TaskPlant::Llm {
+                    engine,
+                    prefill_util,
+                    decode_util,
+                } => {
+                    let st = &mut self.serve_window;
+                    engine.advance_into(1.0, f_eff, st);
+                    if let Some(tm) = telemetry.as_deref_mut() {
+                        tm.on_serve_second(i, st, engine.queue_len());
+                        tm.on_llm_second(i, st);
+                    }
+                    for t in &st.ttft_s {
+                        self.ttft_tracker.record(i, *t);
+                    }
+                    for t in &st.inter_token_s {
+                        self.itl_tracker.record(i, *t);
+                    }
+                    p.completed += st.completions;
+                    p.batches += st.batches;
+                    p.prefill_busy_s += st.prefill_busy_s;
+                    p.decode_busy_s += st.decode_busy_s;
+                    p.kv_occupancy_end = st.kv_occupancy();
+                    p.tokens += (st.prefill_tokens + st.decode_tokens) as u64;
+                    let util = st.prefill_busy_s * *prefill_util + st.decode_busy_s * *decode_util;
+                    (util.clamp(0.0, 1.0), preprocess(st), &st.request_latencies)
+                }
+            };
+            self.utils[dev] = gpu_util;
+            worker_util_sum += worker_util;
+            for lat in latencies {
+                self.slo_tracker.record(i, *lat);
+            }
+            p.latency_sum += latencies.iter().sum::<f64>();
+            p.latencies += latencies.len();
+        }
+        if serving {
+            if let Some(tm) = telemetry {
+                tm.span_exit();
+            }
+        }
+        // CPU package utilization: the feature-selection job keeps the
+        // remaining cores busy (~0.85) and preprocessing adds the rest.
+        let worker_share = worker_util_sum / self.tasks.len().max(1) as f64;
+        self.utils[self.cpu_device] = (0.85 + 0.1 * worker_share).clamp(0.0, 1.0);
+        // One second of plant time through the sense/actuate seam: the
+        // simulator consumes the staged utilizations (real hardware
+        // measures its own load) and hands back the meter sample.
+        backend.stage_utilizations(&self.utils)?;
+        Ok(backend.advance(1.0)?)
     }
 }
 
@@ -290,46 +490,79 @@ impl ExperimentRunner {
             server.f_min().to_vec(),
             server.f_max().to_vec(),
         )?;
-        let gpu_device_indices = server.gpu_indices().to_vec();
-        let mut pipelines = Vec::new();
-        for (i, model) in scenario.gpu_models.iter().enumerate() {
-            let dev = gpu_device_indices[i];
-            pipelines.push(PipelineSim::new(PipelineConfig {
-                model: model.clone(),
-                num_workers: scenario.workers_per_pipeline,
-                queue_capacity: scenario.queue_capacity,
-                seed: scenario.seed.wrapping_add(1000 + i as u64),
-                f_gpu_max_mhz: scenario.devices[dev].freq_table.max(),
-                arrivals: match &scenario.arrival_rates {
-                    Some(rates) => ArrivalMode::Open {
-                        rate_img_s: rates[i],
+        let mut tasks = Vec::with_capacity(scenario.gpu_models.len());
+        for (i, (model, &device)) in scenario
+            .gpu_models
+            .iter()
+            .zip(server.gpu_indices())
+            .enumerate()
+        {
+            let f_max_mhz = scenario.devices[device].freq_table.max();
+            let plant = if let Some(cfg) = &scenario.llm {
+                TaskPlant::Llm {
+                    engine: Box::new(LlmEngine::new(
+                        cfg.model,
+                        cfg.tasks[i].clone(),
+                        cfg.queue_capacity,
+                        scenario.seed.wrapping_add(3000 + i as u64),
+                    )?),
+                    prefill_util: cfg.model.gpu_util_prefill,
+                    decode_util: cfg.model.gpu_util_decode,
+                }
+            } else if let Some(cfg) = &scenario.serving {
+                let service = ServiceModel {
+                    e_min_s: model.e_min_s,
+                    // The plant serves at the model's *true* γ; the
+                    // controller still plans with the fitted one.
+                    gamma: model.gamma_true,
+                    f_max_mhz,
+                    max_batch: model.batch_size,
+                    batch_overhead: cfg.batch_overhead,
+                };
+                let arrivals = ArrivalGen::new(
+                    cfg.arrivals[i].clone(),
+                    scenario.seed.wrapping_add(2000 + i as u64),
+                )?;
+                TaskPlant::Serve(ServeEngine::new(
+                    service,
+                    cfg.batch_timeout_s,
+                    cfg.queue_capacity,
+                    arrivals,
+                )?)
+            } else {
+                TaskPlant::Pipeline(PipelineSim::new(PipelineConfig {
+                    model: model.clone(),
+                    num_workers: scenario.workers_per_pipeline,
+                    queue_capacity: scenario.queue_capacity,
+                    seed: scenario.seed.wrapping_add(1000 + i as u64),
+                    f_gpu_max_mhz: f_max_mhz,
+                    arrivals: match &scenario.arrival_rates {
+                        Some(rates) => ArrivalMode::Open {
+                            rate_img_s: rates[i],
+                        },
+                        None => ArrivalMode::Closed,
                     },
-                    None => ArrivalMode::Closed,
-                },
-            })?);
+                })?)
+            };
+            tasks.push(GpuTask {
+                device,
+                model: model.clone(),
+                plant,
+                period: TaskPeriodStats::default(),
+            });
         }
         let featsel =
             FeatselRateModel::new(scenario.featsel_ref_rate, scenario.featsel_ref_mhz, 0.05)?;
         let monitors = (0..layout.len())
             .map(|_| ThroughputMonitor::new(0.5))
             .collect();
-        // SLO tracker: a placeholder huge SLO where None.
-        let initial: Vec<f64> = scenario
-            .slos
+        let latency_models = tasks
             .iter()
-            .map(|s| s.unwrap_or(f64::MAX / 2.0))
-            .collect();
-        let slo_tracker = SloTracker::new(initial);
-        let latency_models = scenario
-            .gpu_models
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let dev = gpu_device_indices[i];
+            .map(|t| {
                 LatencyModel::new(
-                    m.e_min_s,
+                    t.model.e_min_s,
                     scenario.gamma_fitted,
-                    scenario.devices[dev].freq_table.max(),
+                    scenario.devices[t.device].freq_table.max(),
                 )
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
@@ -338,90 +571,55 @@ impl ExperimentRunner {
             .iter()
             .map(|d| DeltaSigmaModulator::new(d.freq_table.levels().to_vec()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        let targets = server.f_min().to_vec();
-        let rng = StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9));
-        let slos = scenario.slos.clone();
-        let n_tasks = pipelines.len();
-        let n_devices = layout.len();
-        let cpu_device_index = server.cpu_indices()[0];
-        let mut serve_engines = Vec::new();
-        if let Some(cfg) = &scenario.serving {
-            for (i, m) in scenario.gpu_models.iter().enumerate() {
-                let dev = gpu_device_indices[i];
-                let service = ServiceModel {
-                    e_min_s: m.e_min_s,
-                    // The plant serves at the model's *true* γ; the
-                    // controller still plans with the fitted one.
-                    gamma: m.gamma_true,
-                    f_max_mhz: scenario.devices[dev].freq_table.max(),
-                    max_batch: m.batch_size,
-                    batch_overhead: cfg.batch_overhead,
-                };
-                let arrivals = ArrivalGen::new(
-                    cfg.arrivals[i].clone(),
-                    scenario.seed.wrapping_add(2000 + i as u64),
-                )?;
-                serve_engines.push(ServeEngine::new(
-                    service,
-                    cfg.batch_timeout_s,
-                    cfg.queue_capacity,
-                    arrivals,
-                )?);
-            }
-        }
-        let mut llm_engines = Vec::new();
-        if let Some(cfg) = &scenario.llm {
-            for (i, task) in cfg.tasks.iter().enumerate() {
-                llm_engines.push(LlmEngine::new(
-                    cfg.model,
-                    task.clone(),
-                    cfg.queue_capacity,
-                    scenario.seed.wrapping_add(3000 + i as u64),
-                )?);
-            }
-        }
-        // TTFT / inter-token trackers carry real SLOs only in LLM mode;
+        // SLO tracker: a placeholder huge SLO where None. TTFT /
+        // inter-token trackers carry real SLOs only in LLM mode;
         // otherwise a one-task placeholder (the tracker requires >= 1
         // task) that is never recorded into.
+        let placeholder = f64::MAX / 2.0;
+        let slo_tracker = SloTracker::new(
+            scenario
+                .slos
+                .iter()
+                .map(|s| s.unwrap_or(placeholder))
+                .collect(),
+        );
         let (ttft_slos, itl_slos): (Vec<f64>, Vec<f64>) = match &scenario.llm {
             Some(cfg) => cfg
                 .tasks
                 .iter()
                 .map(|t| (t.ttft_slo_s, t.itl_slo_s))
                 .unzip(),
-            None => (vec![f64::MAX / 2.0], vec![f64::MAX / 2.0]),
+            None => (vec![placeholder], vec![placeholder]),
         };
-        let telemetry = scenario
-            .telemetry
-            .map(|cfg| RunTelemetry::new(cfg, &layout.kinds, n_tasks, !llm_engines.is_empty()));
-        let backend = SimBackend::new(server);
-        Ok(ExperimentRunner {
-            telemetry,
-            serve_engines,
-            llm_engines,
+        let workload = Workload {
+            cpu_device: server.cpu_indices()[0],
+            workers: scenario.workers_per_pipeline,
+            slo_tracker,
             ttft_tracker: SloTracker::new(ttft_slos),
             itl_tracker: SloTracker::new(itl_slos),
-            phase_stats: vec![PhasePeriodStats::default(); n_tasks],
-            serve_scratch: ServeWindowStats::default(),
-            second_stats: vec![TaskPeriodStats::default(); n_tasks],
-            last_utils: vec![0.0; n_devices],
+            window: WindowStats::default(),
+            serve_window: ServeWindowStats::default(),
+            utils: vec![0.0; layout.len()],
+            tasks,
+        };
+        let telemetry = scenario.telemetry.map(|cfg| {
+            RunTelemetry::new(cfg, &layout.kinds, workload.tasks.len(), workload.is_llm())
+        });
+        Ok(ExperimentRunner {
+            targets: server.f_min().to_vec(),
+            rng: StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9)),
+            slos: scenario.slos.clone(),
+            backend: SimBackend::new(server),
+            telemetry,
+            workload,
             mem_escape_active: false,
-            cpu_device_index,
-            scratch_stats: WindowStats::default(),
             scenario,
-            backend,
             layout,
-            pipelines,
-            gpu_device_indices,
             featsel,
             monitors,
-            slo_tracker,
             latency_models,
             modulators,
             setpoint: initial_setpoint,
-            slos,
-            targets,
-            rng,
             identified: None,
             tracker: None,
         })
@@ -465,16 +663,8 @@ impl ExperimentRunner {
     /// [`CapGpuError::BadConfig`] when the scenario has no serving layer
     /// or the scale is not positive and finite.
     pub fn set_serving_intensity_scale(&mut self, scale: f64) -> Result<()> {
-        if self.serve_engines.is_empty() && self.llm_engines.is_empty() {
-            return Err(CapGpuError::BadConfig(
-                "serving intensity scale without the serving layer".into(),
-            ));
-        }
-        for engine in &mut self.serve_engines {
-            engine.set_intensity_scale(scale)?;
-        }
-        for engine in &mut self.llm_engines {
-            engine.set_intensity_scale(scale)?;
+        for task in &mut self.workload.tasks {
+            task.plant.set_intensity_scale(scale)?;
         }
         Ok(())
     }
@@ -499,70 +689,35 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates excitation-plan and fitting errors.
     pub fn identify(&mut self) -> Result<IdentifiedModel> {
-        if let Some(tm) = self.telemetry.as_mut() {
-            tm.span_enter(Phase::Identify);
-        }
-        let fitted = self.identify_inner();
-        if let Some(tm) = self.telemetry.as_mut() {
-            tm.span_exit();
-        }
-        fitted
+        self.span_enter(Phase::Identify);
+        let (workload, telemetry) = (&mut self.workload, &mut self.telemetry);
+        let id = control_loop::identify(
+            &mut self.backend,
+            &self.layout,
+            self.scenario.sysid_hold_fraction,
+            self.scenario.sysid_steps_per_device,
+            self.scenario.control_period_s,
+            self.scenario.rls_tracking.map(|c| c.forgetting),
+            |backend, applied| workload.second(backend, applied, telemetry.as_mut(), None),
+        );
+        self.span_exit();
+        let id = id?;
+        self.tracker = id.tracker;
+        self.identified = Some(id.fitted.clone());
+        Ok(id.fitted)
     }
 
-    fn identify_inner(&mut self) -> Result<IdentifiedModel> {
-        let frac = self.scenario.sysid_hold_fraction;
-        let hold: Vec<f64> = self
-            .layout
-            .f_min
-            .iter()
-            .zip(self.layout.f_max.iter())
-            .map(|(lo, hi)| lo + frac * (hi - lo))
-            .collect();
-        let plan = ExcitationPlan::new(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-            hold,
-            self.scenario.sysid_steps_per_device,
-        )?;
-        let mut ident = SystemIdentifier::new(self.layout.len());
-        // Continuous tracking is seeded with the sweep's samples (replayed
-        // into the tracker once the anchor model exists below), so the
-        // first closed-loop refits do not overweight a handful of
-        // near-steady-state samples.
-        let mut track_rows: Option<Vec<(Vec<f64>, f64)>> =
-            self.scenario.rls_tracking.map(|_| Vec::new());
-        let mut applied = Vec::with_capacity(self.layout.len());
-        for point in plan.points() {
-            self.backend.set_frequencies(&point)?;
-            // Effective = applied clamped by any active thermal throttle.
-            self.backend.effective_frequencies_into(&mut applied)?;
-            // Dwell one control period; workloads run at these clocks.
-            let mut power_sum = 0.0;
-            let mut samples = 0;
-            for _ in 0..self.scenario.control_period_s {
-                if let Some(p) = self.advance_one_second(&applied)? {
-                    power_sum += p;
-                    samples += 1;
-                }
-            }
-            if samples > 0 {
-                let p_mean = power_sum / samples as f64;
-                ident.record(&applied, p_mean);
-                if let Some(rows) = track_rows.as_mut() {
-                    rows.push((applied.clone(), p_mean));
-                }
-            }
+    /// Opens a telemetry span (a no-op with telemetry off).
+    fn span_enter(&mut self, phase: Phase) {
+        if let Some(tm) = self.telemetry.as_mut() {
+            tm.span_enter(phase);
         }
-        let fitted = ident.fit()?;
-        if let Some(cfg) = self.scenario.rls_tracking {
-            let mut tracker = ScaledModelTracker::new(fitted.model.clone(), cfg.forgetting)?;
-            for (row, p_mean) in track_rows.iter().flatten() {
-                tracker.record(row, *p_mean);
-            }
-            self.tracker = Some(tracker);
-        }
-        self.identified = Some(fitted.clone());
-        Ok(fitted)
+    }
+
+    /// Closes the innermost telemetry span and returns its wall time
+    /// (ns; 0 unless spans are traced).
+    fn span_exit(&mut self) -> u64 {
+        self.telemetry.as_mut().map_or(0, RunTelemetry::span_exit)
     }
 
     /// The cached identified model, identifying first if needed.
@@ -570,15 +725,10 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification errors.
     pub fn identified_model(&mut self) -> Result<LinearPowerModel> {
-        if self.identified.is_none() {
-            self.identify()?;
+        match &self.identified {
+            Some(id) => Ok(id.model.clone()),
+            None => Ok(self.identify()?.model),
         }
-        Ok(self
-            .identified
-            .as_ref()
-            .expect("just identified")
-            .model
-            .clone())
     }
 
     /// Builds the CapGPU controller from the identified model.
@@ -600,17 +750,7 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_capgpu_phase_blind(&mut self) -> Result<CapGpuController> {
-        let model = self.identified_model()?;
-        let config = capgpu_control::mpc::MpcConfig::paper_defaults(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-        );
-        CapGpuController::with_config(
-            config,
-            model,
-            WeightAssigner::phase_blind(),
-            "CapGPU (phase-blind)",
-        )
+        self.build_capgpu_with(false, WeightAssigner::phase_blind(), "CapGPU (phase-blind)")
     }
 
     /// Builds the paper's controller with the structure-exploiting fast
@@ -623,43 +763,55 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_capgpu_fast(&mut self) -> Result<CapGpuController> {
+        self.build_capgpu_with(true, WeightAssigner::default(), "CapGPU (fast)")
+    }
+
+    fn build_capgpu_with(
+        &mut self,
+        fast_solver: bool,
+        weights: WeightAssigner,
+        name: &str,
+    ) -> Result<CapGpuController> {
         let model = self.identified_model()?;
         let mut config = capgpu_control::mpc::MpcConfig::paper_defaults(
             self.layout.f_min.clone(),
             self.layout.f_max.clone(),
         );
-        config.fast_solver = true;
-        CapGpuController::with_config(config, model, WeightAssigner::default(), "CapGPU (fast)")
+        config.fast_solver = fast_solver;
+        CapGpuController::with_config(config, model, weights, name)
+    }
+
+    /// Sum of the identified gains (W/MHz, negatives clipped) over the
+    /// devices of one kind — the plant gain a shared-clock loop sees.
+    fn summed_gain(&mut self, kind: DeviceKind) -> Result<f64> {
+        let model = self.identified_model()?;
+        let gain: f64 = self
+            .layout
+            .kinds
+            .iter()
+            .zip(model.gains())
+            .filter(|(k, _)| **k == kind)
+            .map(|(_, g)| g.max(0.0))
+            .sum();
+        Ok(gain.max(1e-6))
     }
 
     /// Builds the GPU-Only baseline (pole 0.5) from identified GPU gains.
     ///
     /// # Errors
     /// Propagates identification and construction errors.
-    pub fn build_gpu_only(&mut self) -> Result<GpuOnlyController> {
-        let model = self.identified_model()?;
-        let gain: f64 = self
-            .layout
-            .gpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        GpuOnlyController::new(self.layout.clone(), gain.max(1e-6), 0.5)
+    pub fn build_gpu_only(&mut self) -> Result<SharedClockController> {
+        let gain = self.summed_gain(DeviceKind::Gpu)?;
+        SharedClockController::gpu_only(self.layout.clone(), gain, 0.5)
     }
 
     /// Builds the CPU-Only baseline (pole 0.5) from identified CPU gains.
     ///
     /// # Errors
     /// Propagates identification and construction errors.
-    pub fn build_cpu_only(&mut self) -> Result<CpuOnlyController> {
-        let model = self.identified_model()?;
-        let gain: f64 = self
-            .layout
-            .cpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        CpuOnlyController::new(self.layout.clone(), gain.max(1e-6), 0.5)
+    pub fn build_cpu_only(&mut self) -> Result<SharedClockController> {
+        let gain = self.summed_gain(DeviceKind::Cpu)?;
+        SharedClockController::cpu_only(self.layout.clone(), gain, 0.5)
     }
 
     /// Builds the CPU+GPU split baseline with the given GPU budget share.
@@ -667,26 +819,9 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_split(&mut self, gpu_share: f64) -> Result<CpuGpuSplitController> {
-        let model = self.identified_model()?;
-        let cpu_gain: f64 = self
-            .layout
-            .cpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        let gpu_gain: f64 = self
-            .layout
-            .gpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        CpuGpuSplitController::new(
-            self.layout.clone(),
-            cpu_gain.max(1e-6),
-            gpu_gain.max(1e-6),
-            gpu_share,
-            0.5,
-        )
+        let cpu_gain = self.summed_gain(DeviceKind::Cpu)?;
+        let gpu_gain = self.summed_gain(DeviceKind::Gpu)?;
+        CpuGpuSplitController::new(self.layout.clone(), cpu_gain, gpu_gain, gpu_share, 0.5)
     }
 
     /// Builds the Fixed-step baseline with the given step multiplier.
@@ -710,207 +845,6 @@ impl ExperimentRunner {
             step_multiplier,
             self.backend.meter_noise_std(),
         ))
-    }
-
-    /// Advances one simulated second at the given applied frequencies;
-    /// returns the meter sample, if the meter produced one. Internal
-    /// helper shared by identification and the main loop — updates
-    /// pipelines, computes utilizations, ticks the server.
-    fn advance_one_second(&mut self, applied: &[f64]) -> Result<Option<f64>> {
-        self.advance_one_second_collect(applied, None)
-    }
-
-    /// [`ExperimentRunner::advance_one_second`] with an optional per-task
-    /// queue-delay collector (used by fixed-frequency motivation runs;
-    /// the closed-loop path passes `None` and skips the copies).
-    ///
-    /// All per-second state lives in recycled buffers (`last_utils`,
-    /// `scratch_stats`): this function performs no heap allocation.
-    fn advance_one_second_collect(
-        &mut self,
-        applied: &[f64],
-        mut queue_delays: Option<&mut Vec<Vec<f64>>>,
-    ) -> Result<Option<f64>> {
-        let cpu_dev = self.cpu_device_index;
-        let f_cpu = applied[cpu_dev];
-        let mut utils = std::mem::take(&mut self.last_utils);
-        utils.iter_mut().for_each(|u| *u = 0.0);
-        let mut worker_util_sum = 0.0;
-        if !self.llm_engines.is_empty() {
-            // Two-phase LLM plant: continuous-batching engines replace
-            // the pipeline model. Utilization is attributed per regime —
-            // compute-bound prefill busy-time at `gpu_util_prefill`,
-            // memory-bound decode at `gpu_util_decode` — which is exactly
-            // why capping a decode-bound device recovers so little power.
-            // End-to-end request latencies feed the SLO tracker; token
-            // latencies feed the TTFT / inter-token trackers; busy-time
-            // splits and KV occupancy accumulate into the period's
-            // phase-mix signal.
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::ServeDrain);
-            }
-            let util_prefill = self
-                .scenario
-                .llm
-                .as_ref()
-                .map(|c| c.model.gpu_util_prefill)
-                .unwrap_or(1.0);
-            let util_decode = self
-                .scenario
-                .llm
-                .as_ref()
-                .map(|c| c.model.gpu_util_decode)
-                .unwrap_or(1.0);
-            let sstats = &mut self.serve_scratch;
-            for i in 0..self.llm_engines.len() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // engine is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
-                self.llm_engines[i].advance_into(1.0, f_eff, sstats);
-                utils[dev] = (sstats.prefill_busy_s * util_prefill
-                    + sstats.decode_busy_s * util_decode)
-                    .clamp(0.0, 1.0);
-                // Tokenization/detokenization tracks the admitted
-                // request stream on the preprocessing workers.
-                let model = &self.scenario.gpu_models[i];
-                let admitted = (sstats.arrivals - sstats.dropped) as f64;
-                worker_util_sum += (admitted * model.preprocess_time(f_cpu)
-                    / self.scenario.workers_per_pipeline.max(1) as f64)
-                    .clamp(0.0, 1.0);
-                for lat in &sstats.request_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
-                for t in &sstats.ttft_s {
-                    self.ttft_tracker.record(i, *t);
-                }
-                for t in &sstats.inter_token_s {
-                    self.itl_tracker.record(i, *t);
-                }
-                self.second_stats[i].images += sstats.completions;
-                self.second_stats[i].batches += sstats.batches;
-                self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
-                let ps = &mut self.phase_stats[i];
-                ps.prefill_busy_s += sstats.prefill_busy_s;
-                ps.decode_busy_s += sstats.decode_busy_s;
-                ps.kv_occupancy_end = sstats.kv_occupancy();
-                ps.tokens += (sstats.prefill_tokens + sstats.decode_tokens) as u64;
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.on_serve_second(i, sstats, self.llm_engines[i].queue_len());
-                    tm.on_llm_second(i, sstats);
-                }
-            }
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_exit();
-            }
-        } else if !self.serve_engines.is_empty() {
-            // Request-level serving plant: the discrete-event engines
-            // replace the pipeline model. Busy fraction (scaled by the
-            // model's busy utilization) drives the power simulation,
-            // per-request completions drive the SLO tracker, and the
-            // period's queue drain becomes the throughput signal via
-            // `second_stats`. Per-image queue delays are folded into the
-            // end-to-end request latencies, so the `queue_delays`
-            // collector stays empty in this mode.
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::ServeDrain);
-            }
-            let sstats = &mut self.serve_scratch;
-            for i in 0..self.serve_engines.len() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // engine is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
-                self.serve_engines[i].advance_into(1.0, f_eff, sstats);
-                let model = &self.scenario.gpu_models[i];
-                utils[dev] = (sstats.busy_fraction * model.gpu_util_busy).clamp(0.0, 1.0);
-                // Preprocessing tracks the admitted request stream: each
-                // admitted image costs one worker `preprocess_time`.
-                let admitted = (sstats.arrivals - sstats.dropped) as f64;
-                worker_util_sum += (admitted * model.preprocess_time(f_cpu)
-                    / self.scenario.workers_per_pipeline.max(1) as f64)
-                    .clamp(0.0, 1.0);
-                for lat in &sstats.request_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
-                self.second_stats[i].images += sstats.completions;
-                self.second_stats[i].batches += sstats.batches;
-                self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.on_serve_second(i, sstats, self.serve_engines[i].queue_len());
-                }
-            }
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_exit();
-            }
-        } else {
-            let stats = &mut self.scratch_stats;
-            for (i, pipe) in self.pipelines.iter_mut().enumerate() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // pipeline is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
-                pipe.advance_into(1.0, f_cpu, f_eff, stats);
-                utils[dev] = stats.gpu_util;
-                worker_util_sum += stats.cpu_worker_util;
-                // Latency and throughput bookkeeping at 1 s granularity is
-                // aggregated per period by the caller via pipeline stats;
-                // record SLO hits here so no batch is lost.
-                for lat in &stats.batch_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
-                self.second_stats[i].images += stats.images_completed;
-                self.second_stats[i].batches += stats.batch_latencies.len();
-                self.second_stats[i].latency_sum += stats.batch_latencies.iter().sum::<f64>();
-                if let Some(qd) = queue_delays.as_deref_mut() {
-                    qd[i].extend_from_slice(&stats.queue_delays);
-                }
-            }
-        }
-        // CPU package utilization: the feature-selection job keeps the
-        // remaining cores busy (~0.85) and preprocessing adds the rest.
-        let worker_share = worker_util_sum / self.pipelines.len().max(1) as f64;
-        utils[cpu_dev] = (0.85 + 0.1 * worker_share).clamp(0.0, 1.0);
-        // One second of plant time through the sense/actuate seam: the
-        // simulator consumes the staged utilizations (real hardware
-        // measures its own load) and hands back the meter sample.
-        self.backend.stage_utilizations(&utils)?;
-        let sample = self.backend.advance(1.0)?;
-        self.last_utils = utils;
-        Ok(sample)
     }
 
     /// Runs `num_periods` control periods with the given controller,
@@ -942,22 +876,26 @@ impl ExperimentRunner {
         // staleness watchdog, authority detector, quarantine, and the
         // CapGPU → safe fixed-step → park ladder. Needs the identified
         // gains (for predicted Δp) and a ready fallback controller.
-        let mut supervision: Option<(Supervisor, SafeFixedStepController)> =
-            match self.scenario.supervisor {
-                Some(cfg) => {
-                    let model = self.identified_model()?;
-                    let fallback = self.build_safe_fixed_step(1)?;
-                    Some((Supervisor::new(cfg, model.gains().to_vec(), n)?, fallback))
-                }
-                None => None,
-            };
-        let mut ejected_flags = vec![false; n];
+        let mut supervision = match self.scenario.supervisor {
+            Some(cfg) => {
+                let model = self.identified_model()?;
+                Some(Supervision::new(
+                    cfg,
+                    &self.layout,
+                    model.gains(),
+                    self.backend.meter_noise_std(),
+                )?)
+            }
+            None => None,
+        };
         // Latencies recorded during calibration (identification) must not
         // count against the measured run's SLO statistics.
-        self.slo_tracker.reset_stats();
-        self.ttft_tracker.reset_stats();
-        self.itl_tracker.reset_stats();
-        let llm_on = !self.llm_engines.is_empty();
+        let wl = &mut self.workload;
+        wl.slo_tracker.reset_stats();
+        wl.ttft_tracker.reset_stats();
+        wl.itl_tracker.reset_stats();
+        let llm_on = wl.is_llm();
+        let n_tasks = wl.tasks.len();
         // Per-device phase mix handed to the controller (LLM mode only);
         // non-LLM devices stay at the neutral mix.
         let mut phase_mix = vec![PhaseMix::neutral(); n];
@@ -974,17 +912,11 @@ impl ExperimentRunner {
         let probe_mhz = self.scenario.rls_tracking.map_or(0.0, |c| c.probe_mhz);
         let mut probed = vec![0.0; n];
         let mut prev_applied_mean: Option<Vec<f64>> = None;
-        // Scale last pushed to the controller. Refits inside the deadband
-        // are withheld: re-pushing on every sub-percent estimate wiggle
-        // makes the MPC chase identification noise, which costs more
-        // tracking error than the wiggle is worth.
-        let mut pushed_scale = 1.0_f64;
+        let mut push = RefitPush::default();
         for period in 0..num_periods {
             let t_start_s = (period * t) as f64;
             let t_end_s = ((period + 1) * t) as f64;
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::Period);
-            }
+            self.span_enter(Phase::Period);
             // Fault-schedule transitions take effect at period start:
             // each spec is applied when it becomes active and cleared
             // when it stops (including intermittency flaps).
@@ -1026,14 +958,18 @@ impl ExperimentRunner {
                         slo_s,
                     } if *at_period == period => {
                         self.slos[*task] = Some(*slo_s);
-                        self.slo_tracker.set_slo(*task, *slo_s);
+                        self.workload.slo_tracker.set_slo(*task, *slo_s);
                     }
                     ScheduledChange::ArrivalRate {
                         at_period,
                         task,
                         rate_img_s,
                     } if *at_period == period => {
-                        self.pipelines[*task].set_arrival_rate(*rate_img_s)?;
+                        // `Scenario::validate` admits these only on
+                        // pipeline plants.
+                        if let TaskPlant::Pipeline(pipe) = &mut self.workload.tasks[*task].plant {
+                            pipe.set_arrival_rate(*rate_img_s)?;
+                        }
                     }
                     ScheduledChange::MeterFault { at_period, fault } if *at_period == period => {
                         self.backend.server_mut().set_meter_fault(*fault);
@@ -1052,43 +988,27 @@ impl ExperimentRunner {
                         task,
                         factor,
                     } if *at_period == period => {
-                        if !self.llm_engines.is_empty() {
-                            self.llm_engines
-                                .get_mut(*task)
-                                .ok_or_else(|| {
-                                    CapGpuError::BadConfig(format!(
-                                        "serving burst targets unknown llm task {task}"
-                                    ))
-                                })?
-                                .set_intensity_scale(*factor)?;
-                        } else {
-                            self.serve_engines
-                                .get_mut(*task)
-                                .ok_or_else(|| {
-                                    CapGpuError::BadConfig(
-                                        "serving burst without the serving layer".into(),
-                                    )
-                                })?
-                                .set_intensity_scale(*factor)?;
-                        }
+                        self.workload
+                            .tasks
+                            .get_mut(*task)
+                            .ok_or_else(|| {
+                                CapGpuError::BadConfig(format!(
+                                    "serving burst targets unknown task {task}"
+                                ))
+                            })?
+                            .plant
+                            .set_intensity_scale(*factor)?;
                     }
                     _ => {}
                 }
             }
 
             // Reset per-period aggregates.
-            self.second_stats
+            let wl = &mut self.workload;
+            wl.tasks
                 .iter_mut()
-                .for_each(|s| *s = TaskPeriodStats::default());
-            self.phase_stats
-                .iter_mut()
-                .for_each(|s| *s = PhasePeriodStats::default());
-            let misses_before: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| {
-                    (self.slo_tracker.miss_rate(i) * self.slo_tracker.latencies(i).len() as f64)
-                        .round() as usize
-                })
-                .collect();
+                .for_each(|t| t.period = TaskPeriodStats::default());
+            let misses_before: Vec<usize> = (0..n_tasks).map(|i| wl.slo_misses(i)).collect();
 
             // One control period: T seconds of actuation. CapGPU resolves
             // fractional targets by delta-sigma modulation (§5); baselines
@@ -1113,34 +1033,17 @@ impl ExperimentRunner {
             } else {
                 probed.copy_from_slice(&self.targets);
             }
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::Actuate);
-            }
+            self.span_enter(Phase::Actuate);
             for _ in 0..t {
                 if modulate {
-                    match self.telemetry.as_mut() {
-                        // Carry-wrap accounting rides along only when
-                        // telemetry is on; the emitted level sequence is
-                        // identical either way (pinned by a modulator
-                        // test), so traces stay byte-stable.
-                        Some(tm) => {
-                            for (d, l) in levels.iter_mut().enumerate() {
-                                let (level, wrapped) =
-                                    self.modulators[d].next_level_with_carry(probed[d]);
-                                *l = level;
-                                if wrapped {
-                                    tm.on_carry_wrap(d);
-                                }
-                            }
-                        }
-                        None => {
-                            for ((l, m), &tgt) in levels
-                                .iter_mut()
-                                .zip(self.modulators.iter_mut())
-                                .zip(probed.iter())
-                            {
-                                *l = m.next_level(tgt);
-                            }
+                    // Carry-wrap accounting rides along only when
+                    // telemetry is on; it does not alter the emitted
+                    // level sequence, so traces stay byte-stable.
+                    for (d, l) in levels.iter_mut().enumerate() {
+                        let (level, wrapped) = self.modulators[d].next_level_with_carry(probed[d]);
+                        *l = level;
+                        if let (true, Some(tm)) = (wrapped, self.telemetry.as_mut()) {
+                            tm.on_carry_wrap(d);
                         }
                     }
                 } else {
@@ -1153,26 +1056,25 @@ impl ExperimentRunner {
                 for (s, a) in applied_sum.iter_mut().zip(applied.iter()) {
                     *s += a;
                 }
-                if self.advance_one_second(&applied)?.is_some() {
+                let sample = self.workload.second(
+                    &mut self.backend,
+                    &applied,
+                    self.telemetry.as_mut(),
+                    None,
+                )?;
+                if sample.is_some() {
                     fresh_meter_samples += 1;
                 }
             }
-            let actuate_ns = match self.telemetry.as_mut() {
-                Some(tm) => tm.span_exit(),
-                None => 0,
-            };
+            let actuate_ns = self.span_exit();
             let applied_mean: Vec<f64> = applied_sum.iter().map(|s| s / t as f64).collect();
 
             // Measurement: average the period's *fresh* meter samples.
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::Sense);
-            }
+            self.span_enter(Phase::Sense);
             let (avg_power, meter_stale) =
                 period_average(&self.backend, fresh_meter_samples, last_power);
             last_power = avg_power;
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_exit();
-            }
+            self.span_exit();
 
             // Continuous model tracking (§6.4, generalized to every
             // period): fold this period's (F̄, p̄) sample into the
@@ -1184,9 +1086,7 @@ impl ExperimentRunner {
             // point, and refits are withheld while the factor's
             // excitation is too collinear for the gains to be trustworthy.
             if self.tracker.is_some() {
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.span_enter(Phase::Identify);
-                }
+                self.span_enter(Phase::Identify);
             }
             if let (Some(tracker), Some(cfg)) = (self.tracker.as_mut(), self.scenario.rls_tracking)
             {
@@ -1200,24 +1100,20 @@ impl ExperimentRunner {
                     tracker.record(&applied_mean, avg_power);
                     if tracker.design_condition() < cfg.condition_guard {
                         match tracker.fit() {
-                            Ok((model, scale))
-                                if (scale - pushed_scale).abs()
-                                    > SCALE_PUSH_DEADBAND * pushed_scale =>
-                            {
-                                pushed_scale = scale;
-                                controller.set_power_model(&model)?;
-                                self.identified = Some(IdentifiedModel {
-                                    model,
-                                    r_squared: tracker.r_squared(),
-                                    rmse_watts: tracker.rmse(),
-                                    n_samples: tracker.len(),
-                                    design_condition: tracker.design_condition(),
-                                });
-                                if let Some(tm) = self.telemetry.as_mut() {
-                                    tm.on_refit(period, t_end_s, scale, tracker.r_squared());
+                            Ok((model, scale)) => {
+                                if push.offer(&mut controller, &model, scale)? {
+                                    self.identified = Some(IdentifiedModel {
+                                        model,
+                                        r_squared: tracker.r_squared(),
+                                        rmse_watts: tracker.rmse(),
+                                        n_samples: tracker.len(),
+                                        design_condition: tracker.design_condition(),
+                                    });
+                                    if let Some(tm) = self.telemetry.as_mut() {
+                                        tm.on_refit(period, t_end_s, scale, tracker.r_squared());
+                                    }
                                 }
                             }
-                            Ok(_) => {}
                             Err(capgpu_control::ControlError::InsufficientData(_)) => {}
                             Err(e) => return Err(e.into()),
                         }
@@ -1231,54 +1127,28 @@ impl ExperimentRunner {
                 prev_applied_mean = Some(applied_mean.clone());
             }
             if self.tracker.is_some() {
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.span_exit();
-                }
+                self.span_exit();
             }
 
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::Solve);
-            }
+            self.span_enter(Phase::Solve);
             // Throughput monitors.
-            let cpu_dev = self.cpu_device_index;
+            let cpu_dev = self.workload.cpu_device;
             let cpu_noise: f64 = self.rng.gen_range(-1.0..1.0);
             let cpu_rate = self.featsel.rate(applied_mean[cpu_dev], cpu_noise);
             self.monitors[cpu_dev].record(cpu_rate);
-            let mut gpu_throughput = vec![0.0; self.pipelines.len()];
-            let mut gpu_latency = vec![0.0; self.pipelines.len()];
-            let mut batches = vec![0usize; self.pipelines.len()];
-            for i in 0..self.pipelines.len() {
-                let dev = self.gpu_device_indices[i];
-                let st = &self.second_stats[i];
-                // LLM mode: the throughput signal is tokens/s, not
-                // completions/s — decode emits tokens continuously even
-                // when whole-request completions are lumpy.
-                gpu_throughput[i] = if llm_on {
-                    self.phase_stats[i].tokens as f64 / t as f64
-                } else {
-                    st.images as f64 / t as f64
-                };
-                batches[i] = st.batches;
-                // Serving/LLM modes accumulate per-request latencies,
-                // model mode per-batch; divide by the matching count.
-                let denom = if self.serve_engines.is_empty() && !llm_on {
-                    st.batches
-                } else {
-                    st.images
-                };
-                gpu_latency[i] = if denom > 0 {
-                    st.latency_sum / denom as f64
-                } else {
-                    0.0
-                };
-                self.monitors[dev].record(gpu_throughput[i]);
+            let tasks = &self.workload.tasks;
+            let gpu_throughput: Vec<f64> = tasks.iter().map(|k| k.throughput(t as f64)).collect();
+            let gpu_latency: Vec<f64> = tasks.iter().map(GpuTask::mean_latency).collect();
+            let batches: Vec<usize> = tasks.iter().map(|k| k.period.batches).collect();
+            for (k, tp) in tasks.iter().zip(&gpu_throughput) {
+                self.monitors[k.device].record(*tp);
             }
 
             // SLO frequency floors for the next period.
             let mut floors = self.layout.f_min.clone();
             for (i, slo) in self.slos.iter().enumerate() {
                 if let Some(slo_s) = slo {
-                    let dev = self.gpu_device_indices[i];
+                    let dev = tasks[i].device;
                     floors[dev] = match self.latency_models[i].frequency_floor(*slo_s) {
                         // Safety margin covers fitted-γ error, latency
                         // jitter and the modulator's dips below the target.
@@ -1292,99 +1162,44 @@ impl ExperimentRunner {
 
             // Per-device power readings for the split baseline. The
             // backend attributes them as of the most recent elapsed
-            // second (the staged utilizations equal `last_utils` here).
+            // second (the utilizations the workload staged last).
             self.backend.per_device_power_into(&mut device_power)?;
 
-            let normalized: Vec<f64> = self
-                .monitors
-                .iter()
-                .map(ThroughputMonitor::normalized)
-                .collect();
-
-            // Supervisory health check: ingest this period's evidence
-            // before the control decision so demotions take effect in
-            // the same period the fault is observed.
-            let mut effective_setpoint = self.setpoint;
-            let mut tier = SupervisorTier::Primary;
-            let mut sup_stale_periods = 0usize;
-            if let Some((sup, _)) = supervision.as_mut() {
-                for (d, flag) in ejected_flags.iter_mut().enumerate() {
-                    *flag = self.backend.is_ejected(d);
-                }
-                let directive = sup.step(&HealthSample {
-                    fresh_samples: fresh_meter_samples,
-                    meter_age_s: self.backend.seconds_since_sample(),
-                    avg_power,
-                    setpoint: self.setpoint,
-                    psu_limit: self.backend.psu_limit(),
-                    applied_mean: &applied_mean,
-                    ejected: &ejected_flags,
-                });
-                effective_setpoint = directive.effective_setpoint;
-                tier = directive.tier;
-                sup_stale_periods = directive.stale_periods;
-            }
+            let normalized = normalized_throughputs(&self.monitors);
 
             // Phase-mix signal for the controller (LLM mode): busy-time
             // prefill share, end-of-period KV occupancy, and token rate,
             // per device. Non-LLM devices keep the neutral mix, under
             // which the phase-aware penalty equals the phase-blind one.
-            if llm_on {
-                for (i, ps) in self.phase_stats.iter().enumerate() {
-                    let dev = self.gpu_device_indices[i];
-                    let busy = ps.prefill_busy_s + ps.decode_busy_s;
-                    phase_mix[dev] = PhaseMix {
-                        prefill_share: if busy > 0.0 {
-                            (ps.prefill_busy_s / busy).clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        },
-                        kv_occupancy: ps.kv_occupancy_end,
-                        tokens_per_s: ps.tokens as f64 / t as f64,
-                    };
+            for k in tasks {
+                if let Some(mix) = k.phase_mix(t as f64) {
+                    phase_mix[k.device] = mix;
                 }
             }
+            // The supervised decision ingests this period's evidence
+            // first, so demotions take effect in the same period the
+            // fault is observed.
             let input = ControlInput {
                 measured_power: avg_power,
-                setpoint: effective_setpoint,
+                setpoint: self.setpoint,
                 current_targets: &self.targets,
                 normalized_throughput: &normalized,
                 device_power: &device_power,
                 floors: &floors,
                 phase_mix: if llm_on { Some(&phase_mix) } else { None },
             };
-            let new_targets = match supervision.as_mut() {
-                None => controller.control(&input)?,
-                Some((_, fallback)) => match tier {
-                    SupervisorTier::Primary => controller.control(&input)?,
-                    SupervisorTier::SafeFallback => fallback.control(&input)?,
-                    // No trustworthy feedback at all: park at the floors
-                    // (SLO floors where set, else the hardware minima).
-                    SupervisorTier::Park => floors.clone(),
-                },
-            };
-            if new_targets.len() != n {
-                return Err(CapGpuError::BadConfig(format!(
-                    "controller returned {} targets for {n} devices",
-                    new_targets.len()
-                )));
-            }
-            self.targets = new_targets;
-            // Quarantine: a device that was ejected is pinned at its
-            // hardware floor after re-admission until it stays healthy
-            // for the recovery window, so a flapping GPU cannot whipsaw
-            // the budget redistribution.
-            if let Some((sup, _)) = supervision.as_ref() {
-                for (d, q) in sup.quarantined().iter().enumerate() {
-                    if *q {
-                        self.targets[d] = self.layout.f_min[d];
-                    }
-                }
-            }
-            let solve_ns = match self.telemetry.as_mut() {
-                Some(tm) => tm.span_exit(),
-                None => 0,
-            };
+            let (targets, directive) = control_loop::decide(
+                supervision.as_mut(),
+                &mut controller,
+                &self.backend,
+                &self.layout,
+                fresh_meter_samples,
+                &applied_mean,
+                &input,
+            )?;
+            self.targets = targets;
+            let (tier, effective_setpoint) = (directive.tier, directive.effective_setpoint);
+            let solve_ns = self.span_exit();
 
             // §4.4 multi-layer adaptation: if frequency scaling alone is
             // out of authority (cap exceeded with every knob at its
@@ -1396,7 +1211,7 @@ impl ExperimentRunner {
                     (0..n).all(|j| self.targets[j] <= floors[j].max(self.layout.f_min[j]) + 20.0);
                 let over = avg_power > self.setpoint + 2.0 * noise.max(1.0);
                 if over && saturated_low && !self.mem_escape_active {
-                    for &dev in &self.gpu_device_indices {
+                    for dev in self.workload.tasks.iter().map(|k| k.device) {
                         if self.backend.server().device(dev)?.mem_throttle.is_some() {
                             self.backend.server_mut().set_memory_throttle(dev, true)?;
                         }
@@ -1406,7 +1221,7 @@ impl ExperimentRunner {
                     // Estimate the power that releasing would restore; only
                     // release if the cap still holds afterwards.
                     let mut restore = 0.0;
-                    for &dev in &self.gpu_device_indices {
+                    for dev in self.workload.tasks.iter().map(|k| k.device) {
                         if let Some(mt) = self.backend.server().device(dev)?.mem_throttle {
                             if self.backend.server().memory_throttled(dev)? {
                                 let idle = self.backend.server().device(dev)?.power_law.idle_watts;
@@ -1417,7 +1232,7 @@ impl ExperimentRunner {
                         }
                     }
                     if avg_power + restore < self.setpoint - 2.0 * noise.max(1.0) {
-                        for &dev in &self.gpu_device_indices {
+                        for dev in self.workload.tasks.iter().map(|k| k.device) {
                             self.backend.server_mut().set_memory_throttle(dev, false)?;
                         }
                         self.mem_escape_active = false;
@@ -1425,13 +1240,8 @@ impl ExperimentRunner {
                 }
             }
 
-            let slo_misses: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| {
-                    let total = (self.slo_tracker.miss_rate(i)
-                        * self.slo_tracker.latencies(i).len() as f64)
-                        .round() as usize;
-                    total.saturating_sub(misses_before[i])
-                })
+            let slo_misses: Vec<usize> = (0..n_tasks)
+                .map(|i| self.workload.slo_misses(i).saturating_sub(misses_before[i]))
                 .collect();
 
             records.push(PeriodRecord {
@@ -1463,7 +1273,7 @@ impl ExperimentRunner {
                     SupervisorTier::Primary => controller.diagnostics(),
                     _ => None,
                 };
-                let quarantined = supervision.as_ref().map(|(sup, _)| sup.quarantined());
+                let quarantined = supervision.as_ref().map(|s| s.supervisor.quarantined());
                 let rec = records.last().expect("just pushed");
                 let obs = PeriodObservation {
                     period,
@@ -1474,7 +1284,7 @@ impl ExperimentRunner {
                     setpoint: effective_setpoint,
                     meter_stale,
                     tier: tier.as_u8(),
-                    stale_periods: sup_stale_periods,
+                    stale_periods: directive.stale_periods,
                     quarantined,
                     targets: &rec.targets,
                     diag,
@@ -1482,15 +1292,14 @@ impl ExperimentRunner {
                 };
                 if let Some(tm) = self.telemetry.as_mut() {
                     tm.on_period(&obs);
-                    if llm_on {
-                        for (i, ps) in self.phase_stats.iter().enumerate() {
-                            let dev = self.gpu_device_indices[i];
+                    for (i, k) in self.workload.tasks.iter().enumerate() {
+                        if let TaskPlant::Llm { .. } = k.plant {
                             tm.on_llm_period(
                                 period,
                                 t_end_s,
                                 i,
-                                phase_mix[dev].prefill_share,
-                                ps.kv_occupancy_end,
+                                phase_mix[k.device].prefill_share,
+                                k.period.kv_occupancy_end,
                             );
                         }
                     }
@@ -1498,27 +1307,23 @@ impl ExperimentRunner {
                 }
             }
         }
-        let miss_rates = (0..self.pipelines.len())
-            .map(|i| self.slo_tracker.miss_rate(i))
-            .collect();
-        let p99_latency_s: Vec<f64> = (0..self.pipelines.len())
-            .map(|i| capgpu_linalg::stats::percentile(self.slo_tracker.latencies(i), 99.0))
-            .collect();
-        let n_tasks = self.pipelines.len();
+        let wl = &self.workload;
+        let p99 = |tracker: &SloTracker| -> Vec<f64> {
+            (0..n_tasks)
+                .map(|i| capgpu_linalg::stats::percentile(tracker.latencies(i), 99.0))
+                .collect()
+        };
+        let miss = |tracker: &SloTracker| -> Vec<f64> {
+            (0..n_tasks).map(|i| tracker.miss_rate(i)).collect()
+        };
+        let miss_rates = miss(&wl.slo_tracker);
+        let p99_latency_s = p99(&wl.slo_tracker);
         let (ttft_p99_s, itl_p99_s, ttft_miss_rates, itl_miss_rates) = if llm_on {
             (
-                (0..n_tasks)
-                    .map(|i| capgpu_linalg::stats::percentile(self.ttft_tracker.latencies(i), 99.0))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| capgpu_linalg::stats::percentile(self.itl_tracker.latencies(i), 99.0))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| self.ttft_tracker.miss_rate(i))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| self.itl_tracker.miss_rate(i))
-                    .collect(),
+                p99(&wl.ttft_tracker),
+                p99(&wl.itl_tracker),
+                miss(&wl.ttft_tracker),
+                miss(&wl.itl_tracker),
             )
         } else {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new())
@@ -1560,51 +1365,40 @@ impl ExperimentRunner {
         self.backend.set_frequencies(freqs)?;
         let mut applied = Vec::with_capacity(self.layout.len());
         self.backend.effective_frequencies_into(&mut applied)?;
-        self.second_stats
-            .iter_mut()
-            .for_each(|s| *s = TaskPeriodStats::default());
+        let wl = &mut self.workload;
         for _ in 0..warmup_seconds {
-            self.advance_one_second(&applied)?;
+            wl.second(&mut self.backend, &applied, None, None)?;
         }
-        // Reset aggregates after warmup.
-        self.second_stats
+        // Aggregates count from the end of the warm-up.
+        wl.tasks
             .iter_mut()
-            .for_each(|s| *s = TaskPeriodStats::default());
+            .for_each(|t| t.period = TaskPeriodStats::default());
         let mut power_sum = 0.0;
         let mut power_n = 0usize;
-        let mut queue_delays: Vec<Vec<f64>> = vec![Vec::new(); self.pipelines.len()];
-        let f_cpu = applied[self.cpu_device_index];
+        let mut queue_delays: Vec<Vec<f64>> = vec![Vec::new(); wl.tasks.len()];
         for _ in 0..seconds {
-            if let Some(p) = self.advance_one_second_collect(&applied, Some(&mut queue_delays))? {
+            if let Some(p) =
+                wl.second(&mut self.backend, &applied, None, Some(&mut queue_delays))?
+            {
                 power_sum += p;
                 power_n += 1;
             }
         }
-        let throughput: Vec<f64> = self
-            .second_stats
+        let f_cpu = applied[wl.cpu_device];
+        let throughput = wl
+            .tasks
             .iter()
-            .map(|s| s.images as f64 / seconds as f64)
+            .map(|t| t.period.completed as f64 / seconds as f64)
             .collect();
-        let latency: Vec<f64> = self
-            .second_stats
-            .iter()
-            .map(|s| {
-                if s.batches > 0 {
-                    s.latency_sum / s.batches as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let queue_delay: Vec<f64> = queue_delays
+        let latency = wl.tasks.iter().map(GpuTask::mean_latency).collect();
+        let queue_delay = queue_delays
             .iter()
             .map(|d| capgpu_linalg::stats::mean(d))
             .collect();
-        let preprocess: Vec<f64> = self
-            .pipelines
+        let preprocess = wl
+            .tasks
             .iter()
-            .enumerate()
-            .map(|(i, _)| self.scenario.gpu_models[i].preprocess_time(f_cpu))
+            .map(|t| t.model.preprocess_time(f_cpu))
             .collect();
         Ok(FixedRunStats {
             mean_power: if power_n > 0 {
@@ -1619,14 +1413,6 @@ impl ExperimentRunner {
         })
     }
 }
-
-/// Relative deadband on the tracked gain scale below which a refreshed
-/// model is *not* pushed to the controller. The streaming estimate
-/// wiggles by a few percent under meter noise even on a stationary
-/// plant; pushing every wiggle makes the MPC retune constantly and
-/// costs more cap-tracking error than the stale-by-ε model does. Real
-/// drift (tens of percent) clears the band within a few periods.
-const SCALE_PUSH_DEADBAND: f64 = 0.05;
 
 /// Deterministic ±1 persistent-excitation sign for one (period, device)
 /// pair: a splitmix64-style hash of the scenario seed and the pair's
@@ -1651,20 +1437,19 @@ fn probe_sign(seed: u64, period: usize, device: usize) -> f64 {
 /// Per-task aggregates accumulated within one control period.
 #[derive(Debug, Clone, Default)]
 struct TaskPeriodStats {
-    images: usize,
+    /// Images (pipeline) or requests (serving plants) completed.
+    completed: usize,
     batches: usize,
+    /// Sum and count of the recorded latencies: per batch for
+    /// pipelines, per request for serving plants.
     latency_sum: f64,
-}
-
-/// Per-task phase aggregates accumulated within one control period
-/// (LLM mode): the raw material of the [`PhaseMix`] signal.
-#[derive(Debug, Clone, Default)]
-struct PhasePeriodStats {
+    latencies: usize,
+    /// LLM mode: prefill / decode busy time, KV occupancy at the
+    /// period's last simulated second (fraction), and prefill + decode
+    /// tokens processed — the raw material of the [`PhaseMix`] signal.
     prefill_busy_s: f64,
     decode_busy_s: f64,
-    /// KV occupancy at the period's last simulated second (fraction).
     kv_occupancy_end: f64,
-    /// Prefill + decode tokens processed this period.
     tokens: u64,
 }
 

@@ -1,15 +1,19 @@
-//! Allocation budgets for the `capgpud` publication path: the
+//! Allocation budgets for the `capgpud` publication path (the
 //! `/metrics` exposition, the `/healthz` body and the durable-journal
-//! append. A counting global allocator makes these host-independent
-//! checks — unlike wall-clock gates they cannot go red on a slow
-//! machine. Counts are per thread, so tests running in parallel do not
-//! pollute each other.
+//! append) and for the control periods of both loops: one
+//! `Daemon::step_period` and one `ExperimentRunner::run` period on the
+//! paper, serving and LLM testbeds. A counting global allocator makes
+//! these host-independent checks — unlike wall-clock gates they cannot
+//! go red on a slow machine. Counts are per thread, so tests running in
+//! parallel do not pollute each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
+use capgpu::config::Scenario;
 use capgpu::daemon::{Daemon, DaemonConfig};
+use capgpu::runner::ExperimentRunner;
 use capgpu_obs::rotate::{JournalWriter, RotationConfig};
 use capgpu_telemetry::registry::Registry;
 
@@ -152,4 +156,62 @@ fn journal_append_allocates_nothing_on_an_open_segment() {
     }
     assert_eq!(w.stats().0, 100);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `capgpud` control period (sense, supervise, solve, actuate,
+/// refit, journal, analyzer) on the 2-GPU sim testbed with the durable
+/// journal on, after a 200-period warm-up. The bound is the most any of
+/// 50 periods allocated when the budget was set.
+#[test]
+fn daemon_step_period_stays_within_budget() {
+    const BUDGET: u64 = 62;
+    let dir = temp_dir("step");
+    let mut cfg = DaemonConfig::default_sim();
+    cfg.journal_dir = Some(dir.clone());
+    let backend = cfg.build_backend().unwrap();
+    let mut d = Daemon::new(cfg, backend).unwrap();
+    d.identify().unwrap();
+    for _ in 0..200 {
+        d.step_period().unwrap();
+    }
+    for i in 0..50 {
+        let (r, n) = allocations(|| d.step_period());
+        r.unwrap();
+        assert!(n <= BUDGET, "period {i}: step_period made {n} allocations");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Allocations of closed-loop CapGPU periods 21–40 of a run on an
+/// identified runner: the 40-period run's count minus the 20-period
+/// run's, both from clones of one identified runner.
+fn run_period_allocations(scenario: Scenario) -> u64 {
+    let mut runner = ExperimentRunner::new(scenario, 900.0).unwrap();
+    runner.identify().unwrap();
+    let count = |periods: usize| {
+        let mut r = runner.clone();
+        let controller = r.build_capgpu_controller().unwrap();
+        let (trace, n) = allocations(|| r.run(controller, periods));
+        assert_eq!(trace.unwrap().records.len(), periods);
+        n
+    };
+    let short = count(20);
+    count(40) - short
+}
+
+/// Twenty `ExperimentRunner::run` periods on each GPU-side plant — the
+/// pipeline model, request-level serving and two-phase LLM serving —
+/// stay within the allocations they made when the budget was set (the
+/// per-period record, monitor and solver vectors; the per-second plant
+/// loop itself allocates nothing but latency-tracker growth).
+#[test]
+fn runner_periods_stay_within_budget() {
+    for (name, scenario, budget) in [
+        ("paper", Scenario::paper_testbed(7), 745),
+        ("serving", Scenario::serving_testbed(7), 745),
+        ("llm", Scenario::llm_testbed(7), 750),
+    ] {
+        let n = run_period_allocations(scenario);
+        assert!(n <= budget, "{name}: 20 periods made {n} allocations");
+    }
 }
